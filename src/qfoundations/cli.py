@@ -228,6 +228,11 @@ def _merge_config(args) -> dict:
     if isinstance(cfg.get("formats"), str):
         cfg["formats"] = [f.strip() for f in cfg["formats"].split(",") if f.strip()]
 
+    # JSON Schema cannot say "finite"; NaN passes every bound it can state
+    for key, value in cfg.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise _fail_usage(f"config error at $.{key}: {value!r} is not a finite number")
+
     import jsonschema
 
     validator = jsonschema.Draft202012Validator(schemas.SCENARIO_CONFIG)

@@ -33,7 +33,9 @@ import numpy as np
 
 __all__ = [
     "GRID_NORM_TOL",
+    "NORM_DRIFT_TOL",
     "NODE_EPS_FACTOR",
+    "NormDriftError",
     "GridAxis",
     "GridSpec",
     "GridWavefunction",
@@ -59,8 +61,13 @@ __all__ = [
 ]
 
 GRID_NORM_TOL = 1e-10
+NORM_DRIFT_TOL = 1e-8
 NODE_EPS_FACTOR = 1e-12
 LEAKAGE_TOL = 1e-6
+
+
+class NormDriftError(ValueError):
+    """The evolved wave function lost unit norm beyond NORM_DRIFT_TOL."""
 
 
 @dataclass(frozen=True)
@@ -127,7 +134,7 @@ class GridWavefunction:
         if v.shape != grid.shape:
             raise ValueError(f"expected shape {grid.shape}, got {v.shape}")
         nrm = math.sqrt(float(np.sum(np.abs(v) ** 2)) * grid.cell_volume)
-        if abs(nrm - 1.0) > GRID_NORM_TOL:
+        if not abs(nrm - 1.0) <= GRID_NORM_TOL:
             raise ValueError(f"wavefunction norm {nrm!r} is off unity beyond {GRID_NORM_TOL}")
         v = v.copy()
         v.setflags(write=False)
@@ -286,14 +293,14 @@ def _kinetic_grid(grid: GridSpec, masses: Sequence[float]) -> np.ndarray:
 
 
 def _check_dt(grid: GridSpec, params: PhysicsParams, vgrid: np.ndarray, dt: float) -> None:
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     dq = min(a.dq for a in grid.axes)
     bound = 0.25 * min(params.masses) * dq * dq
-    if dt > bound:
+    if not dt <= bound:
         raise ValueError(f"dt = {dt} exceeds the kinetic stability bound {bound:.6e}")
     vmax = float(np.max(np.abs(vgrid)))
-    if vmax > 0 and dt > 0.1 / vmax:
+    if vmax != 0 and not dt <= 0.1 / vmax:
         raise ValueError(f"dt = {dt} exceeds the potential stability bound {0.1 / vmax:.6e}")
 
 
@@ -330,35 +337,52 @@ def _flow_fields(psi: GridWavefunction, params: PhysicsParams):
     return rho, nums, eps
 
 
-def _interpolate(grid: GridSpec, field: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Bilinear (linear in 1D) interpolation of a grid field at positions (n, d)."""
+def _cells(grid: GridSpec, positions: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Flat corner indices and weights of positions (n, d) for `_interpolate`.
+
+    Computed once per set of positions and shared by every field sampled
+    there.  The weights are the bilinear (linear in 1D) factors in the order
+    the interpolation sums them.
+    """
     idx = []
     frac = []
     for d, axis in enumerate(grid.axes):
         u = (positions[:, d] - axis.qmin) / axis.dq
         u = np.clip(u, 0.0, axis.npoints - 1 - 1e-12)
-        i = np.floor(u).astype(np.intp)
-        idx.append(i)
-        frac.append(u - i)
+        fl = np.floor(u)
+        idx.append(fl.astype(np.intp))
+        frac.append(u - fl)
     if grid.ndim == 1:
         i, w = idx[0], frac[0]
-        return (1.0 - w) * field[i] + w * field[i + 1]
+        return [(i, 1.0 - w), (i + 1, w)]
     i, j = idx
     wx, wy = frac
-    return (
-        (1.0 - wx) * (1.0 - wy) * field[i, j]
-        + wx * (1.0 - wy) * field[i + 1, j]
-        + (1.0 - wx) * wy * field[i, j + 1]
-        + wx * wy * field[i + 1, j + 1]
-    )
+    ny = grid.axes[1].npoints
+    k = i * ny + j
+    return [
+        (k, (1.0 - wx) * (1.0 - wy)),
+        (k + ny, wx * (1.0 - wy)),
+        (k + 1, (1.0 - wx) * wy),
+        (k + ny + 1, wx * wy),
+    ]
+
+
+def _interpolate(field: np.ndarray, cells) -> np.ndarray:
+    """Interpolate a grid field at the positions described by `_cells`."""
+    (k, c), *rest = cells
+    out = c * field.take(k)
+    for k, c in rest:
+        out += c * field.take(k)
+    return out
 
 
 def _velocity_from_fields(grid, fields, positions: np.ndarray) -> np.ndarray:
     rho, nums, eps = fields
-    rho_p = np.maximum(_interpolate(grid, rho, positions), eps)
+    cells = _cells(grid, positions)
+    rho_p = np.maximum(_interpolate(rho, cells), eps)
     out = np.empty_like(positions)
     for d, num in enumerate(nums):
-        out[:, d] = _interpolate(grid, num, positions) / rho_p
+        out[:, d] = _interpolate(num, cells) / rho_p
     return out
 
 
@@ -470,14 +494,14 @@ def integrate_trajectories(
         fields_m = _flow_fields(psi_mid, params)
         fields_n = _flow_fields(psi_nxt, params)
 
+        # every row is stepped and only alive rows are written back, so absorbed
+        # trajectories stay frozen without a gather and scatter of the positions
         alive = absorbed_at < 0
-        if np.any(alive):
-            qa = q[alive]
-            k1 = _velocity_from_fields(grid, fields_t, qa)
-            k2 = _velocity_from_fields(grid, fields_m, qa + 0.5 * dt * k1)
-            k3 = _velocity_from_fields(grid, fields_m, qa + 0.5 * dt * k2)
-            k4 = _velocity_from_fields(grid, fields_n, qa + dt * k3)
-            q[alive] = qa + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = _velocity_from_fields(grid, fields_t, q)
+        k2 = _velocity_from_fields(grid, fields_m, q + 0.5 * dt * k1)
+        k3 = _velocity_from_fields(grid, fields_m, q + 0.5 * dt * k2)
+        k4 = _velocity_from_fields(grid, fields_n, q + dt * k3)
+        np.copyto(q, q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), where=alive[:, None])
         mark_absorbed(step)
 
         cur = nxt
@@ -489,7 +513,8 @@ def integrate_trajectories(
                 wfs.append(psi_nxt)
 
     final_norm = math.sqrt(float(np.sum(np.abs(cur) ** 2)) * grid.cell_volume)
-    assert abs(final_norm - 1.0) < 1e-8, f"norm drifted to {final_norm!r}"
+    if not abs(final_norm - 1.0) < NORM_DRIFT_TOL:
+        raise NormDriftError(f"norm drifted to {final_norm!r} (limit {NORM_DRIFT_TOL} off unity)")
 
     steps_arr = np.array(saved_steps, dtype=np.intp)
     return TrajectoryRun(
@@ -589,10 +614,13 @@ def _sort_count(a: np.ndarray) -> tuple[np.ndarray, int]:
 def check_noncrossing(run_or_positions) -> int:
     """Count 1D order swaps between consecutive saved times (0 = no crossing).
 
-    A swap is an ordered pair of trajectories whose relative position sign
-    differs between two consecutive snapshots; counting uses inversion
-    counting on the rank permutation, so large ensembles stay cheap.
-    Only defined for one spatial axis.
+    A swap is a pair of trajectories strictly ordered at one saved time and
+    strictly reversed at the next; ties at either time are no swap.  Each
+    snapshot pair is reordered by the earlier positions (ties broken by the
+    later ones), and the swaps are the inversions of the later positions in
+    that order.  A crossing-free pair leaves them non-decreasing, which one
+    O(n) comparison confirms; only otherwise does the O(n log n) merge count
+    `_sort_count` run.  Only defined for one spatial axis.
     """
     if isinstance(run_or_positions, TrajectoryRun):
         run = run_or_positions
@@ -610,10 +638,10 @@ def check_noncrossing(run_or_positions) -> int:
             raise ValueError("expected a (time, trajectory) array")
 
     violations = 0
-    for t in range(series.shape[0] - 1):
-        order = np.argsort(series[t], kind="mergesort")
-        _, inv = _sort_count(series[t + 1][order])
-        violations += inv
+    for before, after in zip(series[:-1], series[1:]):
+        later = after[np.lexsort((after, before))]
+        if not np.all(later[1:] >= later[:-1]):
+            violations += _sort_count(later)[1]
     return violations
 
 
@@ -646,15 +674,18 @@ def conditional_wavefunction(psi: GridWavefunction, axis: int, value: float) -> 
 
 
 def export_trajectories_csv(path, run: TrajectoryRun) -> None:
-    """Long-format CSV: trajectory_id,time,q1[,q2]; one row per (trajectory, time)."""
+    """Long-format CSV: trajectory_id,time,q1[,q2]; one row per (trajectory, time).
+
+    Rows are written one trajectory at a time, so only one trajectory's text
+    is held in memory.
+    """
     cols = ",".join(f"q{d + 1}" for d in range(run.grid.ndim))
-    lines = [f"trajectory_id,time,{cols}"]
-    for tid in range(run.n_trajectories):
-        for ti, t in enumerate(run.times):
-            vals = ",".join(repr(float(x)) for x in run.positions[ti, tid])
-            lines.append(f"{tid},{float(t)!r},{vals}")
+    times = [repr(t) for t in run.times.tolist()]
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"trajectory_id,time,{cols}\n")
+        for tid in range(run.n_trajectories):
+            rows = zip(times, run.positions[:, tid].tolist())
+            fh.write("".join(f"{tid},{t},{','.join(map(repr, qs))}\n" for t, qs in rows))
 
 
 def export_wavefunction_csv(directory, run: TrajectoryRun) -> list:

@@ -5,6 +5,7 @@ import json
 import os
 
 import jsonschema
+import pytest
 
 from qfoundations import schemas
 from qfoundations.cli import main
@@ -171,6 +172,25 @@ def test_unstable_dt_exits_two(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "runtime failure" in err and "ValueError" in err
+
+
+@pytest.mark.parametrize("flag", ["--dt", "--sigma"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_config_number_exits_one(tmp_path, capsys, flag, value):
+    code = main(["run", "free_packet", "--out", str(tmp_path / "x"),
+                 "--trials", "10", "--steps", "5", flag, value])
+    assert code == 1
+    field = flag.lstrip("-")
+    assert f"$.{field}: {value} is not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_non_finite_number_in_config_file_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"omega": NaN}')
+    code = main(["run", "harmonic", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "$.omega: nan is not a finite number" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

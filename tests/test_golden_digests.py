@@ -1,0 +1,91 @@
+"""Golden digests: every artifact byte of the grid scenarios at small configs.
+
+Criterion 11 only proves that one build agrees with itself; these pins make
+a refactor that changes any emitted byte fail loudly.  `manifest.json` is
+left out because it records the output directory.
+
+The digests hold for the numpy version recorded in `generated_with`; FFT
+and SIMD rounding may move the last bits of a correct build on another
+version, so the tests skip there instead of reporting a regression.
+
+Regenerate (only when an output change is intended, and say why):
+
+    PYTHONPATH=src python tests/test_golden_digests.py --write
+"""
+
+import hashlib
+import json
+import os
+import sys
+
+import numpy as np
+import pytest
+
+from qfoundations.cli import main
+
+GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_digests.json")
+
+SCENARIOS = {
+    "free_packet": ["--trials", "200", "--steps", "200", "--format", "json,csv,svg"],
+    "harmonic": ["--trials", "200", "--steps", "300"],
+    "double_slit": ["--trials", "100", "--steps", "300"],
+}
+
+
+def _digests(scenario, outdir):
+    code = main(["run", scenario, "--out", str(outdir), *SCENARIOS[scenario]])
+    if code != 0:
+        raise RuntimeError(f"{scenario} exited with {code}")
+    found = {}
+    for root, _, names in os.walk(outdir):
+        for name in names:
+            path = os.path.join(root, name)
+            rel = os.path.relpath(path, outdir).replace(os.sep, "/")
+            if rel == "manifest.json":
+                continue
+            with open(path, "rb") as fh:
+                found[rel] = hashlib.sha256(fh.read()).hexdigest()
+    return dict(sorted(found.items()))
+
+
+def _golden():
+    with open(GOLDEN_PATH) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_grid_scenario_bytes_match_golden(scenario, tmp_path, capsys):
+    golden = _golden()
+    pinned_numpy = golden["generated_with"]["numpy"]
+    if np.__version__ != pinned_numpy:
+        pytest.skip(f"digests pinned with numpy {pinned_numpy}, running {np.__version__}")
+    pinned = golden["scenarios"][scenario]
+    assert pinned["args"] == SCENARIOS[scenario]
+    found = _digests(scenario, tmp_path / scenario)
+    capsys.readouterr()
+    assert sorted(found) == sorted(pinned["digests"])
+    changed = [name for name, sha in found.items() if pinned["digests"][name] != sha]
+    assert not changed, f"{scenario}: artifacts differ from the golden digests: {changed}"
+
+
+def _write(outroot):
+    golden = {
+        "generated_with": {"python": sys.version.split()[0], "numpy": np.__version__},
+        "scenarios": {
+            name: {"args": args, "digests": _digests(name, os.path.join(outroot, name))}
+            for name, args in SCENARIOS.items()
+        },
+    }
+    with open(GOLDEN_PATH, "w", newline="\n") as fh:
+        json.dump(golden, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    with tempfile.TemporaryDirectory() as tmp:
+        _write(tmp)
+    print(f"wrote {GOLDEN_PATH}")

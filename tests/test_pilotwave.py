@@ -186,6 +186,21 @@ def test_step_rejects_unstable_dt():
         pilotwave.step_schrodinger(psi, _free_params(), 1.0)
 
 
+def test_step_rejects_nan_dt():
+    grid = pilotwave.GridSpec.make((-10.0, 10.0, 512))
+    psi = pilotwave.init_wavefunction(
+        grid, pilotwave.GaussianProfile(center=(0.0,), width=(1.0,), momentum=(0.0,))
+    )
+    with pytest.raises(ValueError, match="dt must be positive, got nan"):
+        pilotwave.step_schrodinger(psi, _free_params(), math.nan)
+
+
+def test_wavefunction_rejects_nan_values():
+    grid = pilotwave.GridSpec.make((-10.0, 10.0, 64))
+    with pytest.raises(ValueError, match="norm nan"):
+        pilotwave.GridWavefunction(grid, np.full(64, math.nan))
+
+
 def test_convergence_second_order_against_exact_reference():
     # halving dt quarters the final-state error; reference is the closed
     # form, so the ratio sits at 4 rather than the 5 a quarter-dt numerical
@@ -344,6 +359,29 @@ def test_trajectories_leaving_grid_are_absorbed_not_clamped():
     assert float(np.max(np.abs(last))) <= 6.0
     report = pilotwave.check_equivariance(run)
     assert report.verdict == "invalid"
+
+
+class _Absorbing(pilotwave.Potential):
+    """Constant imaginary potential -i*gamma: the norm decays as exp(-gamma t)."""
+
+    def __init__(self, gamma):
+        super().__init__("absorbing", {"gamma": gamma})
+
+    def values(self, grid, masses):
+        return np.full(grid.shape, -1j * self.params["gamma"])
+
+
+def test_integration_raises_typed_error_on_norm_drift(monkeypatch):
+    # loosen the per-snapshot check so the lossy evolution reaches the final one
+    monkeypatch.setattr(pilotwave, "GRID_NORM_TOL", 0.5)
+    grid = pilotwave.GridSpec.make((-10.0, 10.0, 128))
+    psi = pilotwave.init_wavefunction(
+        grid, pilotwave.GaussianProfile(center=(0.0,), width=(1.0,), momentum=(0.0,))
+    )
+    params = pilotwave.PhysicsParams(masses=(1.0,), potential=_Absorbing(10.0))
+    pos = pilotwave.sample_equilibrium(psi, 20, stream(4, 0))
+    with pytest.raises(pilotwave.NormDriftError, match="norm drifted"):
+        pilotwave.integrate_trajectories(psi, params, pos, dt=1e-3, steps=3)
 
 
 def test_integration_deterministic():
