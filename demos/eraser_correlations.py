@@ -38,10 +38,7 @@ def main():
 
     # and a sampled run agrees with the exact table
     n = 50_000
-    sample = circuit.sample_bohmian_runs(circuit.build_eraser(INT, INT), n, seed=7)
-    counts: dict = {}
-    for pair in sample.outcome_pairs():
-        counts[pair] = counts.get(pair, 0) + 1
+    counts = circuit.sample_bohmian_runs(circuit.build_eraser(INT, INT), n, seed=7).outcome_counts()
     print(f"\n{n} sampled runs of (interference, interference):")
     for pair, k in sorted(counts.items()):
         print(f"  {pair}: {k / n:.4f}")

@@ -10,30 +10,32 @@ this way - yet the left record's marginal law is setting-independent, so
 the dependence is invisible at the ensemble level.
 """
 
-import sympy as sp
-
 from qfoundations import circuit
-from qfoundations.streams import stream
 
 INT = circuit.INTERFERENCE
 WP = circuit.WHICHPATH
 
 
-def main():
-    R = sp.Rational
-    circ_int = circuit.build_eraser(INT, INT, right_acts_first=True, exact=True)
-    circ_wp = circuit.build_eraser(INT, WP, right_acts_first=True, exact=True)
+def left_record(circ, labels, coords):
+    run = circuit.sample_bohmian_runs(circ, 0, 0, hidden=([labels], [coords]))
+    layers = (0,) + run.bs_layers["L"]
+    labs = (run.labels0[0, 0],) + tuple(row[0] for row in run.bs_labels["L"])
+    return tuple((layer, circuit.PATH_LABELS[lab]) for layer, lab in zip(layers, labs))
 
-    cfg = circuit.PathConfiguration(("1", "1"), (R(3, 10), R(3, 4)))
-    res_int = circuit.bohmian_transport(circ_int, cfg)
-    res_wp = circuit.bohmian_transport(circ_wp, cfg)
+
+def main():
+    circ_int = circuit.build_eraser(INT, INT, right_acts_first=True)
+    circ_wp = circuit.build_eraser(INT, WP, right_acts_first=True)
+
     print("hidden value: labels (1,1), x_L = 3/10, x_R = 3/4, right arm first")
-    print(f"  right = interference -> left record {res_int.config.record_left}")
-    print(f"  right = which-path   -> left record {res_wp.config.record_left}")
+    print(f"  right = interference -> left record {left_record(circ_int, [0, 0], [0.3, 0.75])}")
+    print(f"  right = which-path   -> left record {left_record(circ_wp, [0, 0], [0.3, 0.75])}")
     print("  the left record flips with the *right* arm's configuration\n")
 
-    enum_int = circuit.enumerate_transport(circ_int)
-    enum_wp = circuit.enumerate_transport(circ_wp)
+    enum_int = circuit.enumerate_transport(
+        circuit.build_eraser(INT, INT, right_acts_first=True, exact=True))
+    enum_wp = circuit.enumerate_transport(
+        circuit.build_eraser(INT, WP, right_acts_first=True, exact=True))
     paired = circuit.record_overlap_distance(enum_int, enum_wp, arms=("L",))
     print(f"measure of hidden values whose left record changes: {paired}")
 
@@ -44,8 +46,7 @@ def main():
     print(f"same measure when the left arm acts first: "
           f"{circuit.record_overlap_distance(early_int, early_wp, arms=('L',))}\n")
 
-    configs = circuit.sample_equilibrium_configs(1000, stream(7, 400))
-    report = circuit.trajectory_setting_dependence(configs, right_acts_first=True)
+    report = circuit.trajectory_setting_dependence(1000, seed=7, stream_index=400)
     print(f"sampled check over {report.n} equilibrium configurations:")
     print(f"  changed fraction = {report.changed_fraction:.3f}  (exact value 1/2)")
 

@@ -34,14 +34,18 @@ Detection reads the actual label and conditions the joint state on it, so
 later transport on the other arm depends on what was detected here - and on
 whether a beam splitter was present here at all.
 
-Modes: float arithmetic for Monte Carlo work; exact sympy radicals for
-analytic claims (at theta = pi/4 and pi/8 multiples every probability lives
-in a small quadratic extension of the rationals, and comparisons are exact).
+Modes: float Monte Carlo lives in `sample_bohmian_runs`, which pushes whole
+ensembles through the circuit as arrays (a single configuration is a
+one-row ensemble passed as `hidden`); exact arithmetic lives only in
+`enumerate_transport`, which uses sympy radicals for analytic claims (at
+theta = pi/4 and pi/8 multiples every probability lives in a small quadratic
+extension of the rationals, and comparisons are exact).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -57,9 +61,6 @@ __all__ = [
     "PATH_LABELS",
     "CircuitElement",
     "OpticalCircuit",
-    "DetectorOutcome",
-    "PathConfiguration",
-    "TransportResult",
     "path_space",
     "joint_space",
     "initial_state",
@@ -69,9 +70,6 @@ __all__ = [
     "copenhagen_joint_distribution",
     "detector_names",
     "outcome_name",
-    "global_coordinate",
-    "bohmian_transport",
-    "sample_equilibrium_configs",
     "sample_bohmian_runs",
     "BohmianSample",
     "enumerate_transport",
@@ -79,7 +77,6 @@ __all__ = [
     "record_overlap_distance",
     "trajectory_setting_dependence",
     "SettingDependenceReport",
-    "export_path_records_json",
 ]
 
 INTERFERENCE = "interference"
@@ -126,15 +123,6 @@ class OpticalCircuit:
 
     def arm_elements(self, arm: str) -> tuple[CircuitElement, ...]:
         return tuple(e for e in self.elements if e.arm == arm)
-
-
-@dataclass(frozen=True)
-class DetectorOutcome:
-    left: str  # 'L1'..'L4'
-    right: str  # 'R1'..'R4'
-
-    def pair(self) -> tuple[str, str]:
-        return (self.left, self.right)
 
 
 def detector_names(setting: str, arm: str) -> tuple[str, str]:
@@ -280,38 +268,15 @@ def copenhagen_joint_distribution(circ: OpticalCircuit) -> dict:
         out[(name_l, name_r)] = _prob(amps[l, r], circ.exact)
     total = sum(out.values())
     if circ.exact:
-        assert sp.simplify(total - 1) == 0, "joint distribution must sum to 1 exactly"
-    else:
-        assert abs(float(total) - 1.0) < 1e-12
+        if sp.simplify(total - 1) != 0:
+            raise RuntimeError("joint distribution must sum to 1 exactly")
+    elif not abs(float(total) - 1.0) < 1e-12:
+        raise RuntimeError(f"joint distribution sums to {float(total)!r}, not 1")
     return dict(sorted(out.items()))
 
 
 # ---------------------------------------------------------------------------
-# hidden configurations and the monotone transport
-
-
-@dataclass(frozen=True)
-class PathConfiguration:
-    """Actual labels, intra-label coordinates, and the per-arm label records."""
-
-    labels: tuple[str, str]
-    coords: tuple
-    record_left: tuple = ()
-    record_right: tuple = ()
-
-    def __post_init__(self):
-        for lab in self.labels:
-            if lab not in PATH_LABELS:
-                raise ValueError(f"label {lab!r} not in {PATH_LABELS}")
-        for x in self.coords:
-            if not 0 <= float(x) < 1:
-                raise ValueError(f"coordinate {x} outside [0, 1)")
-
-
-@dataclass(frozen=True)
-class TransportResult:
-    outcome: DetectorOutcome
-    config: PathConfiguration
+# monotone transport helpers for the cell enumeration (exact or float)
 
 
 def _is_zero(v, exact: bool) -> bool:
@@ -342,12 +307,6 @@ def _conditional(state: list, arm: int, other_label: int, exact: bool) -> list:
     return [p / tot for p in ps]
 
 
-def global_coordinate(probabilities: Sequence, label_idx: int, x):
-    """Cumulative probability of the labels above, plus x inside the label."""
-    below = probabilities[0] if label_idx == 1 else 0
-    return below + x * probabilities[label_idx]
-
-
 def _apply_bs(state: list, arm: int, b: np.ndarray) -> list:
     new = [[None, None], [None, None]]
     for i, j in itertools.product(range(2), range(2)):
@@ -356,85 +315,6 @@ def _apply_bs(state: list, arm: int, b: np.ndarray) -> list:
         else:
             new[i][j] = b[j, 0] * state[i][0] + b[j, 1] * state[i][1]
     return new
-
-
-def bohmian_transport(circ: OpticalCircuit, config: PathConfiguration) -> TransportResult:
-    """Deterministically carry one hidden configuration through the circuit.
-
-    Beam splitters move the acting arm's (label, x) by the monotone coupling
-    described in the module docstring; detectors read the actual label off
-    and condition the joint state on it.  The input configuration is left
-    untouched; records restart from layer 0.
-    """
-    exact = circ.exact
-    psi = initial_state(exact=exact).amplitudes.reshape(2, 2)
-    state = [[psi[0][0], psi[0][1]], [psi[1][0], psi[1][1]]]
-    labels = [PATH_LABELS.index(config.labels[0]), PATH_LABELS.index(config.labels[1])]
-    xs = list(config.coords)
-    records: list = [[(0, PATH_LABELS[labels[0]])], [(0, PATH_LABELS[labels[1]])]]
-    outcomes: dict = {}
-
-    for el in circ.elements:
-        arm = 0 if el.arm == "L" else 1
-        other = labels[1 - arm]
-        if el.kind == "beam_splitter":
-            before = _conditional(state, arm, other, exact)
-            own = before[labels[arm]]
-            if _is_zero(own, exact):
-                raise RuntimeError("actual label carries zero conditional probability")
-            c = global_coordinate(before, labels[arm], xs[arm])
-            b = beam_splitter_matrix(el.theta, el.phase, exact=exact)
-            state = _apply_bs(state, arm, b)
-            after = _conditional(state, arm, other, exact)
-            lo = 0
-            chosen = None
-            for k in range(2):
-                hi = lo + after[k]
-                if k == 1 or _lt(c, hi, exact):
-                    chosen = k
-                    break
-                lo = hi
-            if _is_zero(after[chosen], exact):
-                raise RuntimeError("transport landed in a zero-probability label")
-            labels[arm] = chosen
-            xs[arm] = (c - lo) / after[chosen]
-            records[arm].append((el.layer, PATH_LABELS[chosen]))
-        else:
-            num = _detector_number(el.kind, labels[arm])
-            outcomes[el.arm] = f"{el.arm}{num}"
-            # condition the joint state on the detected label
-            dead = 1 - labels[arm]
-            zero = sp.Integer(0) if exact else 0.0
-            for j in range(2):
-                if arm == 0:
-                    state[dead][j] = zero
-                else:
-                    state[j][dead] = zero
-
-    out = DetectorOutcome(outcomes["L"], outcomes["R"])
-    final = PathConfiguration(
-        labels=(PATH_LABELS[labels[0]], PATH_LABELS[labels[1]]),
-        coords=(xs[0], xs[1]),
-        record_left=tuple(records[0]),
-        record_right=tuple(records[1]),
-    )
-    return TransportResult(out, final)
-
-
-def sample_equilibrium_configs(n: int, rng: np.random.Generator) -> list[PathConfiguration]:
-    """Hidden configurations in quantum equilibrium for the source state:
-    labels with Born weights, coordinates uniform in [0,1) independently."""
-    psi = initial_state()
-    probs = np.abs(psi.amplitudes) ** 2
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
-    cells = np.searchsorted(cum, rng.random(n), side="right")
-    coords = rng.random((n, 2))
-    out = []
-    for cell, (xl, xr) in zip(cells, coords):
-        l, r = divmod(int(cell), 2)
-        out.append(PathConfiguration((PATH_LABELS[l], PATH_LABELS[r]), (float(xl), float(xr))))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -456,23 +336,14 @@ class BohmianSample:
     def n(self) -> int:
         return self.labels0.shape[0]
 
-    def outcome_pairs(self) -> list[tuple[str, str]]:
-        return [(f"L{a}", f"R{b}") for a, b in self.outcomes]
-
-    def record_tuples(self, arms: Sequence[str] = ("L", "R")) -> list[tuple]:
-        """Per-run hashable records: ((layer, label), ...) per requested arm."""
-        out = []
-        armmap = {"L": 0, "R": 1}
-        for i in range(self.n):
-            rec = []
-            for arm in arms:
-                a = armmap[arm]
-                entries = [(0, PATH_LABELS[self.labels0[i, a]])]
-                for layer, labs in zip(self.bs_layers[arm], self.bs_labels[arm]):
-                    entries.append((int(layer), PATH_LABELS[labs[i]]))
-                rec.append(tuple(entries))
-            out.append(tuple(rec))
-        return out
+    def outcome_counts(self) -> Counter:
+        """Runs per joint outcome, keyed (left name, right name) like the
+        analytic tables; only outcomes that occurred are listed."""
+        # detector numbers run 1..4 per arm, so (left, right) packs into 0..15
+        counts = np.bincount(4 * (self.outcomes[:, 0] - 1) + self.outcomes[:, 1] - 1, minlength=16)
+        return Counter(
+            {(f"L{k // 4 + 1}", f"R{k % 4 + 1}"): int(c) for k, c in enumerate(counts) if c}
+        )
 
     def run_dicts(self) -> list[dict]:
         """Export form: one dict per run, matching the path-record JSON schema."""
@@ -512,7 +383,10 @@ def sample_bohmian_runs(
     """Push n equilibrium configurations through the circuit, vectorized.
 
     `hidden` can supply (labels0, coords0) directly, e.g. to reuse the same
-    initial configurations across different settings.
+    initial configurations across different settings: label indices in
+    {0, 1} and coordinates in [0, 1), one row per run; n is then ignored.
+    A configuration the source state gives zero probability raises
+    RuntimeError.
     """
     if circ.exact:
         raise ValueError("vectorized sampling runs in float mode")
@@ -529,6 +403,12 @@ def sample_bohmian_runs(
         labels0, coords0 = hidden
         labels0 = np.asarray(labels0, dtype=np.intp).copy()
         coords0 = np.asarray(coords0, dtype=np.float64).copy()
+        if labels0.ndim != 2 or labels0.shape[1] != 2 or coords0.shape != labels0.shape:
+            raise ValueError("hidden labels and coordinates must both have shape (n, 2)")
+        if not np.all((labels0 == 0) | (labels0 == 1)):
+            raise ValueError("hidden label indices must lie in {0, 1}")
+        if not np.all((coords0 >= 0.0) & (coords0 < 1.0)):
+            raise ValueError("hidden coordinates outside [0, 1)")
         n = labels0.shape[0]
 
     psi0 = initial_state().amplitudes.reshape(2, 2)
@@ -549,12 +429,14 @@ def sample_bohmian_runs(
             amps = state[rows[:, None], other[:, None], np.arange(2)[None, :]]
         pb = np.abs(amps) ** 2
         tot = pb.sum(axis=1)
-        assert np.all(tot > 0), "conditional state has zero norm"
+        if not np.all(tot > 0):
+            raise RuntimeError("conditional state has zero norm")
         pb = pb / tot[:, None]
 
         if el.kind == "beam_splitter":
             own = pb[rows, labels[:, a]]
-            assert np.all(own > _FLOAT_PROB_FLOOR), "actual label at zero probability"
+            if not np.all(own > _FLOAT_PROB_FLOOR):
+                raise RuntimeError("actual label at zero probability")
             c = np.where(labels[:, a] == 1, pb[:, 0], 0.0) + xs[:, a] * own
             b = beam_splitter_matrix(el.theta, el.phase)
             if a == 0:
@@ -569,7 +451,8 @@ def sample_bohmian_runs(
             pa = pa / pa.sum(axis=1)[:, None]
             new_lab = (c >= pa[:, 0]).astype(np.intp)
             chosen = pa[rows, new_lab]
-            assert np.all(chosen > _FLOAT_PROB_FLOOR), "transport hit a zero-probability label"
+            if not np.all(chosen > _FLOAT_PROB_FLOOR):
+                raise RuntimeError("transport hit a zero-probability label")
             lo = np.where(new_lab == 1, pa[:, 0], 0.0)
             xs[:, a] = (c - lo) / chosen
             labels[:, a] = new_lab
@@ -840,17 +723,28 @@ def record_overlap_distance(
 class SettingDependenceReport:
     changed_fraction: float
     n: int
-    examples: tuple  # (config, record under interference, record under whichpath)
+    examples: tuple  # ((labels, coords), record under interference, record under whichpath)
+
+
+def _left_record(sample: BohmianSample, i: int) -> tuple:
+    """Run i's left path record: ((layer, label), ...) from layer 0."""
+    return ((0, PATH_LABELS[sample.labels0[i, 0]]),) + tuple(
+        (int(layer), PATH_LABELS[labs[i]])
+        for layer, labs in zip(sample.bs_layers["L"], sample.bs_labels["L"])
+    )
 
 
 def trajectory_setting_dependence(
-    hidden_configs: Sequence[PathConfiguration],
+    n: int,
+    seed: int,
+    stream_index: int = 0,
     right_acts_first: bool = True,
     theta=None,
     max_examples: int = 3,
 ) -> SettingDependenceReport:
     """Rerun fixed hidden values with the right arm toggled between settings.
 
+    n equilibrium configurations are drawn from stream (seed, stream_index).
     The left arm stays an interference arm; for each hidden value the left
     label records under right = interference and right = whichpath are
     compared.  A nonzero changed fraction means the left-side hidden path
@@ -865,22 +759,22 @@ def trajectory_setting_dependence(
         INTERFERENCE, WHICHPATH, theta_left=theta,
         right_acts_first=right_acts_first,
     )
-    changed = 0
-    examples = []
-    for cfg in hidden_configs:
-        ra = bohmian_transport(circ_int, cfg)
-        rb = bohmian_transport(circ_wp, cfg)
-        if ra.config.record_left != rb.config.record_left:
-            changed += 1
-            if len(examples) < max_examples:
-                examples.append((cfg, ra.config.record_left, rb.config.record_left))
-    n = len(hidden_configs)
-    return SettingDependenceReport(changed / n if n else 0.0, n, tuple(examples))
-
-
-def export_path_records_json(path, runs: Sequence[dict]) -> None:
-    import json
-
-    with open(path, "w", newline="\n") as fh:
-        json.dump(list(runs), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    a = sample_bohmian_runs(circ_int, n, seed, stream_index)
+    b = sample_bohmian_runs(circ_wp, n, seed, hidden=(a.labels0, a.coords0))
+    # the left arm owns the same layer slots under both settings, so the two
+    # left records differ exactly where some left beam-splitter label does
+    changed = np.zeros(n, dtype=bool)
+    for labs_a, labs_b in zip(a.bs_labels["L"], b.bs_labels["L"]):
+        changed |= labs_a != labs_b
+    examples = tuple(
+        (
+            (
+                (PATH_LABELS[a.labels0[i, 0]], PATH_LABELS[a.labels0[i, 1]]),
+                (float(a.coords0[i, 0]), float(a.coords0[i, 1])),
+            ),
+            _left_record(a, i),
+            _left_record(b, i),
+        )
+        for i in np.flatnonzero(changed)[:max_examples]
+    )
+    return SettingDependenceReport(int(changed.sum()) / n if n else 0.0, n, examples)

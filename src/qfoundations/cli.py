@@ -45,71 +45,11 @@ _IDX_BRANCH = 500
 _IDX_CHSH = 600
 _IDX_SAMPLING = 700
 
-_SCENARIOS = (
-    "eraser",
-    "double_slit",
-    "free_packet",
-    "harmonic",
-    "repeatability",
-    "bell_chsh",
-    "claims_suite",
-)
-
 _COMMON_DEFAULTS = {
     "seed": 7,
     "formats": ["json", "csv"],
     "workers": 1,
 }
-
-_SCENARIO_DEFAULTS = {
-    "eraser": {
-        "mode": "analytic",
-        "trials": 100000,
-        "left": "interference",
-        "right": "interference",
-        "theta": None,
-        "right_acts_first": False,
-    },
-    "double_slit": {
-        "mode": "montecarlo",
-        "trials": 200,
-        "qmin": -16.0,
-        "qmax": 16.0,
-        "npoints": 512,
-        "dt": 0.0008,
-        "steps": 2500,
-        "save_every": 50,
-        "sigma": 0.7,
-        "separation": 6.0,
-    },
-    "free_packet": {
-        "mode": "montecarlo",
-        "trials": 10000,
-        "qmin": -24.0,
-        "qmax": 24.0,
-        "npoints": 512,
-        "dt": 0.001,
-        "steps": 2000,
-        "save_every": 100,
-        "sigma": 1.0,
-    },
-    "harmonic": {
-        "mode": "montecarlo",
-        "trials": 2000,
-        "qmin": -12.0,
-        "qmax": 12.0,
-        "npoints": 256,
-        "dt": 0.001,
-        "steps": 3142,
-        "save_every": 100,
-        "omega": 1.0,
-        "x0": 2.0,
-    },
-    "repeatability": {"mode": "montecarlo", "trials": 10000},
-    "bell_chsh": {"mode": "analytic", "trials": 100000, "grid_step_count": 16},
-    "claims_suite": {"mode": "montecarlo", "trials": 100000},
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse that exits with the documented usage code."""
@@ -182,34 +122,9 @@ def _load_config_file(path: str) -> dict:
     return loaded
 
 
-_FLAG_KEYS = (
-    "seed",
-    "trials",
-    "mode",
-    "out",
-    "formats",
-    "workers",
-    "left",
-    "right",
-    "theta",
-    "right_acts_first",
-    "qmin",
-    "qmax",
-    "npoints",
-    "dt",
-    "steps",
-    "save_every",
-    "sigma",
-    "separation",
-    "omega",
-    "x0",
-    "grid_step_count",
-)
-
-
 def _merge_config(args) -> dict:
     cfg = dict(_COMMON_DEFAULTS)
-    cfg.update(_SCENARIO_DEFAULTS[args.scenario])
+    cfg.update(_SCENARIOS[args.scenario][1])
     cfg["scenario"] = args.scenario
     cfg["out"] = os.path.join("out", args.scenario)
 
@@ -221,9 +136,9 @@ def _merge_config(args) -> dict:
             )
         cfg.update(file_cfg)
 
-    for key in _FLAG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
+    # every run flag's dest is a config key; the positional and --config are not
+    for key, value in vars(args).items():
+        if key not in ("verb", "scenario", "config") and value is not None:
             cfg[key] = value
     if isinstance(cfg.get("formats"), str):
         cfg["formats"] = [f.strip() for f in cfg["formats"].split(",") if f.strip()]
@@ -381,7 +296,7 @@ def _enumeration_runs(enum: circuit.TransportEnumeration) -> list[dict]:
     return runs
 
 
-def _run_eraser(cfg: dict, outdir: str) -> list[str]:
+def _run_eraser(cfg: dict, outdir: str) -> tuple[list[str], bool]:
     files = []
     analytic = cfg["mode"] == "analytic"
     circ = circuit.build_eraser(
@@ -423,12 +338,10 @@ def _run_eraser(cfg: dict, outdir: str) -> list[str]:
         if "svg" in cfg["formats"]:
             svg = svgplot.render_eraser_records(_enumeration_runs(enum))
             files.append(_write_text(os.path.join(outdir, "records.svg"), svg))
-        return files
+        return files, True
 
     sample = _sample_eraser(circ, cfg["trials"], cfg["seed"], cfg["workers"], _IDX_ERASER_A)
-    counts: dict = {}
-    for pair in sample.outcome_pairs():
-        counts[pair] = counts.get(pair, 0) + 1
+    counts = sample.outcome_counts()
     n = sample.n
     freqs = {pair: c / n for pair, c in counts.items()}
     if "json" in cfg["formats"]:
@@ -467,7 +380,7 @@ def _run_eraser(cfg: dict, outdir: str) -> list[str]:
     if "svg" in cfg["formats"]:
         svg = svgplot.render_eraser_records(sample.run_dicts()[: min(n, 20)])
         files.append(_write_text(os.path.join(outdir, "records.svg"), svg))
-    return files
+    return files, True
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +414,7 @@ def _grid_setup(cfg: dict):
     return psi0, params
 
 
-def _run_grid_scenario(cfg: dict, outdir: str) -> list[str]:
+def _run_grid_scenario(cfg: dict, outdir: str) -> tuple[list[str], bool]:
     if cfg["mode"] != "montecarlo":
         raise _fail_usage(f"scenario {cfg['scenario']} has no analytic mode; use --mode montecarlo")
     files = []
@@ -551,14 +464,14 @@ def _run_grid_scenario(cfg: dict, outdir: str) -> list[str]:
         files.append(
             _write_text(os.path.join(outdir, "trajectories.svg"), svgplot.render_trajectories(groups))
         )
-    return files
+    return files, True
 
 
 # ---------------------------------------------------------------------------
 # repeatability and CHSH scenarios
 
 
-def _run_repeatability(cfg: dict, outdir: str) -> list[str]:
+def _run_repeatability(cfg: dict, outdir: str) -> tuple[list[str], bool]:
     files = []
     mode = inference.ANALYTIC if cfg["mode"] == "analytic" else inference.MONTE_CARLO
     with_collapse = inference.repeatability_test(
@@ -592,7 +505,7 @@ def _run_repeatability(cfg: dict, outdir: str) -> list[str]:
                 rows,
             )
         )
-    return files
+    return files, True
 
 
 def _chsh_payload(cfg: dict) -> dict:
@@ -636,7 +549,7 @@ def _chsh_payload(cfg: dict) -> dict:
     return payload
 
 
-def _run_bell(cfg: dict, outdir: str) -> list[str]:
+def _run_bell(cfg: dict, outdir: str) -> tuple[list[str], bool]:
     files = []
     payload = _chsh_payload(cfg)
     if "json" in cfg["formats"]:
@@ -648,7 +561,7 @@ def _run_bell(cfg: dict, outdir: str) -> list[str]:
             ("local_model_max", repr(payload["local_model_max"])),
         ]
         files.append(_write_csv(os.path.join(outdir, "chsh_summary.csv"), ["quantity", "value"], rows))
-    return files
+    return files, True
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +596,8 @@ def _transport_equivariance_report() -> inference.TestReport:
                 for (layer_a, dist), (layer_b, ref) in zip(
                     enum.layer_distributions, enum.reference_distributions
                 ):
-                    assert layer_a == layer_b
+                    if layer_a != layer_b:
+                        raise RuntimeError(f"transport layer {layer_a} paired with Born layer {layer_b}")
                     dev = inference.total_variation(dist, ref)
                     checked += 1
                     if sp.simplify(dev - worst) > 0:
@@ -700,20 +614,19 @@ def _transport_equivariance_report() -> inference.TestReport:
 
 
 def _setting_dependence_report(seed: int, n: int = 200) -> inference.TestReport:
-    configs = circuit.sample_equilibrium_configs(n, stream(seed, _IDX_CONFIGS))
-    dep = circuit.trajectory_setting_dependence(configs, right_acts_first=True)
+    dep = circuit.trajectory_setting_dependence(n, seed, _IDX_CONFIGS, right_acts_first=True)
     examples = [
         {
             "hidden": {
-                "label_L": cfg.labels[0],
-                "label_R": cfg.labels[1],
-                "x_L": float(cfg.coords[0]),
-                "x_R": float(cfg.coords[1]),
+                "label_L": labels[0],
+                "label_R": labels[1],
+                "x_L": coords[0],
+                "x_R": coords[1],
             },
             "record_left_interference": [[int(l), lab] for l, lab in rec_a],
             "record_left_whichpath": [[int(l), lab] for l, lab in rec_b],
         }
-        for cfg, rec_a, rec_b in dep.examples
+        for (labels, coords), rec_a, rec_b in dep.examples
     ]
     lo, hi = inference.wilson_interval(round(dep.changed_fraction * dep.n), dep.n)
     if dep.changed_fraction == 0.0:
@@ -775,11 +688,8 @@ def _purity_report() -> inference.TestReport:
     )
 
 
-def _correlation_agreement_report(sample: circuit.BohmianSample, exact_dist: dict) -> inference.TestReport:
-    n = sample.n
-    counts: dict = {}
-    for pair in sample.outcome_pairs():
-        counts[pair] = counts.get(pair, 0) + 1
+def _correlation_agreement_report(counts: dict, exact_dist: dict) -> inference.TestReport:
+    n = sum(counts.values())
     max_z = 0.0
     for pair, p in exact_dist.items():
         p = float(p)
@@ -845,18 +755,13 @@ def _run_claims(cfg: dict, outdir: str) -> tuple[list[str], bool]:
 
     circ_ii_f = circuit.build_eraser(circuit.INTERFERENCE, circuit.INTERFERENCE)
     circ_iw_f = circuit.build_eraser(circuit.INTERFERENCE, circuit.WHICHPATH)
-    sample_ii = _sample_eraser(circ_ii_f, trials, seed, workers, _IDX_ERASER_A)
-    sample_iw = _sample_eraser(circ_iw_f, trials, seed, workers, _IDX_ERASER_B)
-    context = f"eraser:seed={seed}"
-    records_ii = [
-        inference.RunRecord(("interference", "interference"), pair, context=context)
-        for pair in sample_ii.outcome_pairs()
-    ]
+    counts_ii = _sample_eraser(circ_ii_f, trials, seed, workers, _IDX_ERASER_A).outcome_counts()
+    counts_iw = _sample_eraser(circ_iw_f, trials, seed, workers, _IDX_ERASER_B).outcome_counts()
     _claim(
         claims,
         "local_causality_eraser_monte_carlo",
         inference.VIOLATED,
-        inference.local_causality_test(records_ii, "R1", "L1"),
+        inference.local_causality_test(counts_ii, "R1", "L1"),
     )
     _claim(
         claims,
@@ -879,8 +784,8 @@ def _run_claims(cfg: dict, outdir: str) -> tuple[list[str], bool]:
         inference.SATISFIED,
         inference.no_signaling_test(
             {
-                ("interference", "interference"): sample_ii.outcome_pairs(),
-                ("interference", "whichpath"): sample_iw.outcome_pairs(),
+                ("interference", "interference"): counts_ii,
+                ("interference", "whichpath"): counts_iw,
             },
             side="left",
         ),
@@ -889,7 +794,7 @@ def _run_claims(cfg: dict, outdir: str) -> tuple[list[str], bool]:
         claims,
         "eraser_correlation_agreement",
         inference.SATISFIED,
-        _correlation_agreement_report(sample_ii, dist_ii),
+        _correlation_agreement_report(counts_ii, dist_ii),
     )
 
     enum_int = circuit.enumerate_transport(
@@ -1018,6 +923,73 @@ def _run_claims(cfg: dict, outdir: str) -> tuple[list[str], bool]:
 
 
 # ---------------------------------------------------------------------------
+# scenario registry: scenario -> (runner, defaults); a runner returns (files
+# written, whether every verdict it checks came out as expected)
+
+
+_SCENARIOS = {
+    "eraser": (
+        _run_eraser,
+        {
+            "mode": "analytic",
+            "trials": 100000,
+            "left": "interference",
+            "right": "interference",
+            "theta": None,
+            "right_acts_first": False,
+        },
+    ),
+    "double_slit": (
+        _run_grid_scenario,
+        {
+            "mode": "montecarlo",
+            "trials": 200,
+            "qmin": -16.0,
+            "qmax": 16.0,
+            "npoints": 512,
+            "dt": 0.0008,
+            "steps": 2500,
+            "save_every": 50,
+            "sigma": 0.7,
+            "separation": 6.0,
+        },
+    ),
+    "free_packet": (
+        _run_grid_scenario,
+        {
+            "mode": "montecarlo",
+            "trials": 10000,
+            "qmin": -24.0,
+            "qmax": 24.0,
+            "npoints": 512,
+            "dt": 0.001,
+            "steps": 2000,
+            "save_every": 100,
+            "sigma": 1.0,
+        },
+    ),
+    "harmonic": (
+        _run_grid_scenario,
+        {
+            "mode": "montecarlo",
+            "trials": 2000,
+            "qmin": -12.0,
+            "qmax": 12.0,
+            "npoints": 256,
+            "dt": 0.001,
+            "steps": 3142,
+            "save_every": 100,
+            "omega": 1.0,
+            "x0": 2.0,
+        },
+    ),
+    "repeatability": (_run_repeatability, {"mode": "montecarlo", "trials": 10000}),
+    "bell_chsh": (_run_bell, {"mode": "analytic", "trials": 100000, "grid_step_count": 16}),
+    "claims_suite": (_run_claims, {"mode": "montecarlo", "trials": 100000}),
+}
+
+
+# ---------------------------------------------------------------------------
 # verbs
 
 
@@ -1030,22 +1002,9 @@ def _cmd_run(args) -> int:
         print(f"qfoundations: cannot create output directory {outdir}: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 
+    runner, _ = _SCENARIOS[cfg["scenario"]]
     try:
-        if cfg["scenario"] == "eraser":
-            files = _run_eraser(cfg, outdir)
-            status = EXIT_OK
-        elif cfg["scenario"] in ("double_slit", "free_packet", "harmonic"):
-            files = _run_grid_scenario(cfg, outdir)
-            status = EXIT_OK
-        elif cfg["scenario"] == "repeatability":
-            files = _run_repeatability(cfg, outdir)
-            status = EXIT_OK
-        elif cfg["scenario"] == "bell_chsh":
-            files = _run_bell(cfg, outdir)
-            status = EXIT_OK
-        else:
-            files, all_match = _run_claims(cfg, outdir)
-            status = EXIT_OK if all_match else EXIT_CLAIMS
+        files, ok = runner(cfg, outdir)
     except SystemExit:
         raise
     except Exception as err:  # noqa: BLE001 - boundary: report and use exit code 2
@@ -1054,7 +1013,7 @@ def _cmd_run(args) -> int:
 
     _write_manifest(outdir, cfg, files)
     print(f"wrote {len(files) + 1} files to {outdir}")
-    return status
+    return EXIT_OK if ok else EXIT_CLAIMS
 
 
 def _cmd_plot(args) -> int:

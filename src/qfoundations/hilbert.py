@@ -368,11 +368,14 @@ class Observable:
         d = self.matrix.shape[0]
         total = np.zeros((d, d), dtype=np.complex128)
         for i, p in enumerate(self.projectors):
-            assert float(np.max(np.abs(p @ p - p))) < 1e-11, "projector not idempotent"
+            if not float(np.max(np.abs(p @ p - p))) < 1e-11:
+                raise RuntimeError("projector not idempotent")
             for q in self.projectors[i + 1 :]:
-                assert float(np.max(np.abs(p @ q))) < 1e-11, "projectors not orthogonal"
+                if not float(np.max(np.abs(p @ q))) < 1e-11:
+                    raise RuntimeError("projectors not orthogonal")
             total += p
-        assert float(np.max(np.abs(total - np.eye(d)))) < 1e-11, "projectors do not resolve 1"
+        if not float(np.max(np.abs(total - np.eye(d)))) < 1e-11:
+            raise RuntimeError("projectors do not resolve 1")
 
     @classmethod
     def from_eigenbasis(cls, groups: Sequence[tuple[object, Sequence]]) -> "Observable":
@@ -438,7 +441,8 @@ def _outcome_probabilities(state: StateVector, obs: Observable) -> np.ndarray:
     probs = np.array(
         [float(np.sum(np.abs(block.conj().T @ state.amplitudes) ** 2)) for block in obs._blocks]
     )
-    assert abs(float(probs.sum()) - 1.0) < 1e-12, "Born probabilities do not sum to 1"
+    if not abs(float(probs.sum()) - 1.0) < 1e-12:
+        raise RuntimeError(f"Born probabilities sum to {float(probs.sum())!r}, not 1")
     return probs
 
 

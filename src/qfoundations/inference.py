@@ -8,16 +8,18 @@ immediate second measurement agree), branch/collapse agreement (do branch
 weights match collapse frequencies), and the CHSH combination of
 correlators.  A test runs in one of two modes: analytic, where the tables
 come from exact enumeration or closed-form linear algebra and verdicts rest
-on exact zero tests, and monte-carlo, where they are empirical frequencies
-and verdicts rest on 99% confidence intervals.  A monte-carlo verdict is
-never "violated" or "satisfied" while the interval straddles the threshold;
-such runs come back "inconclusive".
+on exact zero tests, and monte-carlo, where they are `collections.Counter`
+tables of run counts keyed like the analytic tables (n is the sum of the
+counts) and verdicts rest on 99% confidence intervals.  A monte-carlo
+verdict is never "violated" or "satisfied" while the interval straddles the
+threshold; such runs come back "inconclusive".
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -35,7 +37,6 @@ __all__ = [
     "ANALYTIC",
     "MONTE_CARLO",
     "Z99",
-    "RunRecord",
     "TestReport",
     "wilson_interval",
     "total_variation",
@@ -67,20 +68,6 @@ _ZERO_TOL = 1e-12  # float stand-in for "exactly zero" in analytic tables
 # Monte-Carlo "satisfied" additionally requires the CI to rule out anything
 # a tenth that size, else the verdict stays inconclusive
 EQUIVALENCE_MARGIN = 0.05
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """One experimental run: settings, outcome pair, optional hidden record.
-
-    `context` names the full pre-measurement specification (initial state and
-    seed); tests that condition on shared context refuse mixed collections.
-    """
-
-    settings: tuple[str, str]
-    outcome: tuple[str, str]
-    hidden: object = None
-    context: str = ""
 
 
 @dataclass(frozen=True)
@@ -196,7 +183,8 @@ def sample_outcome_pairs(joint: Mapping, n: int, seed: int, stream_index: int = 
     items = sorted(joint.items())
     keys = [k for k, _ in items]
     probs = np.array([float(p) for _, p in items])
-    assert abs(probs.sum() - 1.0) < 1e-9
+    if not abs(probs.sum() - 1.0) < 1e-9:
+        raise ValueError(f"joint probabilities sum to {probs.sum()!r}, not 1")
     cum = np.cumsum(probs)
     cum[-1] = 1.0
     rng = stream(seed, stream_index)
@@ -216,11 +204,12 @@ def local_causality_test(records, a_event: str, b_event: str) -> TestReport:
     """|P(A | S, B) - P(A | S)| on records sharing one pre-measurement context.
 
     `records` is either a joint outcome-pair probability table (analytic
-    mode; exact when the probabilities are exact) or a sequence of
-    RunRecords (monte-carlo mode).  A and B are outcome names from opposite
-    arms; conditioning on a zero-frequency B is an error.
+    mode; exact when the probabilities are exact) or a Counter of runs per
+    outcome pair (monte-carlo mode), taken under one initial state and seed.
+    A and B are outcome names from opposite arms; conditioning on a
+    zero-frequency B is an error.
     """
-    if isinstance(records, Mapping):
+    if not isinstance(records, Counter):
         exact = _is_exact(records.values())
         pa = _event_prob(records, a_event)
         pb = _event_prob(records, b_event)
@@ -247,14 +236,10 @@ def local_causality_test(records, a_event: str, b_event: str) -> TestReport:
             details=details,
         )
 
-    recs = list(records)
-    contexts = {r.context for r in recs}
-    if len(contexts) > 1:
-        raise ValueError(f"records span {len(contexts)} contexts; need a common one")
-    n = len(recs)
-    na = sum(1 for r in recs if a_event in r.outcome)
-    nb = sum(1 for r in recs if b_event in r.outcome)
-    nab = sum(1 for r in recs if a_event in r.outcome and b_event in r.outcome)
+    n = sum(records.values())
+    na = sum(k for pair, k in records.items() if a_event in pair)
+    nb = sum(k for pair, k in records.items() if b_event in pair)
+    nab = sum(k for pair, k in records.items() if a_event in pair and b_event in pair)
     if nb == 0:
         raise ValueError(f"conditioning event {b_event!r} never occurred")
     p_a = na / n
@@ -388,11 +373,11 @@ def measurement_independence_test(groups: Mapping, stage: str = "pre_detection")
     """TV distance between hidden-record laws across measurement settings.
 
     `groups` maps a setting key to either a TransportEnumeration (analytic;
-    exact when the enumerations are exact) or a sequence of hashable hidden
-    records / RunRecords (monte-carlo).  `stage` selects what is compared:
+    exact when the enumerations are exact) or a Counter of runs per hashable
+    hidden record (monte-carlo).  `stage` selects what is compared:
     "pre_detection" takes the per-run path records (initial labels plus every
     beam-splitter transit, detector readings excluded), "initial" only the
-    t=0 configuration law.  Runs without hidden records are inconclusive.
+    t=0 configuration law.
     """
     if len(groups) < 2:
         raise ValueError("need records under at least two settings")
@@ -400,34 +385,13 @@ def measurement_independence_test(groups: Mapping, stage: str = "pre_detection")
     if all(isinstance(v, circuit.TransportEnumeration) for v in values):
         return _mi_analytic(groups, stage)
 
-    seqs = {}
-    for key, coll in groups.items():
-        items = list(coll)
-        if not items:
-            raise ValueError(f"no records under setting {key!r}")
-        if isinstance(items[0], RunRecord):
-            hidden = [r.hidden for r in items]
-            if any(h is None for h in hidden):
-                return TestReport(
-                    test="measurement_independence",
-                    statistic=0.0,
-                    threshold=0.0,
-                    verdict=INCONCLUSIVE,
-                    n=len(items),
-                    mode=MONTE_CARLO,
-                    details={"reason": "hidden records absent from the supplied runs"},
-                )
-            items = hidden
-        seqs[key] = items
-
     freqs = {}
     sizes = {}
-    for key, items in seqs.items():
-        table: dict = {}
-        for it in items:
-            table[it] = table.get(it, 0) + 1
-        n = len(items)
-        freqs[key] = {k: v / n for k, v in table.items()}
+    for key, counts in groups.items():
+        n = sum(counts.values())
+        if n == 0:
+            raise ValueError(f"no records under setting {key!r}")
+        freqs[key] = {k: v / n for k, v in counts.items()}
         sizes[key] = n
 
     keys = list(freqs)
@@ -481,14 +445,14 @@ def no_signaling_test(groups: Mapping, side: str = "left") -> TestReport:
     """Max shift of one side's outcome marginal across the far side's settings.
 
     `groups` maps each remote setting to a joint outcome table (analytic) or
-    a sequence of outcome pairs / RunRecords (monte-carlo).
+    a Counter of runs per outcome pair (monte-carlo).
     """
     if len(groups) < 2:
         raise ValueError("need at least two remote settings")
     idx = {"left": 0, "right": 1}[side]
     values = list(groups.values())
 
-    if all(isinstance(v, Mapping) for v in values):
+    if not all(isinstance(v, Counter) for v in values):
         exact = any(_is_exact(v.values()) for v in values)
         margs = {k: _local_marginal(v, idx) for k, v in groups.items()}
         keys = list(margs)
@@ -515,17 +479,8 @@ def no_signaling_test(groups: Mapping, side: str = "left") -> TestReport:
             details=details,
         )
 
-    counts = {}
-    sizes = {}
-    for key, coll in groups.items():
-        items = list(coll)
-        if items and isinstance(items[0], RunRecord):
-            items = [r.outcome for r in items]
-        table: dict = {}
-        for pair in items:
-            table[pair[idx]] = table.get(pair[idx], 0) + 1
-        counts[key] = table
-        sizes[key] = len(items)
+    counts = {key: _local_marginal(table, idx) for key, table in groups.items()}
+    sizes = {key: sum(table.values()) for key, table in groups.items()}
 
     keys = list(counts)
     stat = 0.0

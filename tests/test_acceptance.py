@@ -36,9 +36,7 @@ def test_criterion_01_eraser_correlations():
     n = 100_000
     for (left, right), exact in (((INT, INT), both), ((INT, WP), mixed)):
         sample = circuit.sample_bohmian_runs(circuit.build_eraser(left, right), n, seed=7)
-        counts: dict = {}
-        for pair in sample.outcome_pairs():
-            counts[pair] = counts.get(pair, 0) + 1
+        counts = sample.outcome_counts()
         for key, p in exact.items():
             p = float(p)
             if p == 0.0:
@@ -120,8 +118,8 @@ def test_criterion_05_measurement_independence_violation():
     assert initial.verdict == inference.SATISFIED
     assert initial.statistic == 0.0
 
-    configs = circuit.sample_equilibrium_configs(200, stream(7, 400))
-    dep = circuit.trajectory_setting_dependence(configs, right_acts_first=True)
+    dep = circuit.trajectory_setting_dependence(200, seed=7, stream_index=400,
+                                                right_acts_first=True)
     assert dep.changed_fraction > 0.0
     assert len(dep.examples) >= 1
     for _, rec_int, rec_wp in dep.examples:

@@ -5,18 +5,19 @@ state evolution from raw sympy matrices (kron products and column vectors,
 no code under test).  Transport facts are frozen from hand-worked cases:
 with both arms reading interference at theta = pi/4, the left coordinate
 alone fixes the outcome pair when the left arm acts first, and the *right*
-coordinate fixes the left record when the right arm acts first.
+coordinate fixes the left record when the right arm acts first.  The float
+sampler is checked run by run against the exact enumeration's cells.
 """
 
 import itertools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 import sympy as sp
 
 from qfoundations import circuit
-from qfoundations.streams import stream
 
 INT = circuit.INTERFERENCE
 WP = circuit.WHICHPATH
@@ -173,8 +174,23 @@ def test_rejects_unknown_setting():
 
 
 def test_rejects_coordinate_outside_unit_interval():
+    circ = circuit.build_eraser(INT, INT)
     with pytest.raises(ValueError, match="outside"):
-        circuit.PathConfiguration(("1", "2"), (0.5, 1.0))
+        circuit.sample_bohmian_runs(circ, 0, 0, hidden=([[0, 0]], [[0.5, 1.0]]))
+    with pytest.raises(ValueError, match="outside"):
+        circuit.sample_bohmian_runs(circ, 0, 0, hidden=([[0, 0]], [[-0.25, 0.5]]))
+    with pytest.raises(ValueError, match="outside"):
+        circuit.sample_bohmian_runs(circ, 0, 0, hidden=([[0, 0]], [[np.nan, 0.5]]))
+
+
+def test_rejects_label_outside_pair():
+    circ = circuit.build_eraser(INT, INT)
+    with pytest.raises(ValueError, match="label"):
+        circuit.sample_bohmian_runs(circ, 0, 0, hidden=([[0, 2]], [[0.5, 0.5]]))
+    with pytest.raises(ValueError, match="shape"):
+        circuit.sample_bohmian_runs(circ, 0, 0, hidden=([0, 0], [0.5, 0.5]))
+    with pytest.raises(ValueError, match="shape"):
+        circuit.sample_bohmian_runs(circ, 0, 0, hidden=([[0, 0]], [[0.5, 0.5], [0.1, 0.1]]))
 
 
 def test_vectorized_sampler_rejects_exact_circuit():
@@ -185,63 +201,69 @@ def test_vectorized_sampler_rejects_exact_circuit():
 
 def test_transport_rejects_off_support_configuration():
     # (|11> + |22>)/sqrt(2) gives the label pair (1, 2) zero amplitude
-    circ = circuit.build_eraser(INT, INT, exact=True)
-    cfg = circuit.PathConfiguration(("1", "2"), (R(1, 3), R(1, 3)))
+    circ = circuit.build_eraser(INT, INT)
     with pytest.raises(RuntimeError, match="zero"):
-        circuit.bohmian_transport(circ, cfg)
+        circuit.sample_bohmian_runs(circ, 0, 0, hidden=([[0, 1]], [[1 / 3, 1 / 3]]))
 
 
 # ---------------------------------------------------------------------------
-# monotone transport, exact single configurations
+# monotone transport, single configurations
 
 
-def test_global_coordinate_exact():
-    probs = [R(1, 3), R(2, 3)]
-    assert circuit.global_coordinate(probs, 0, R(1, 2)) == R(1, 6)
-    assert circuit.global_coordinate(probs, 1, R(1, 2)) == R(2, 3)
-    assert circuit.global_coordinate(probs, 1, 0) == R(1, 3)
+def _run(sample, i):
+    """Run i of a sample: its outcome pair and its (left, right) path records."""
+    outcome = (f"L{sample.outcomes[i, 0]}", f"R{sample.outcomes[i, 1]}")
+    records = tuple(
+        ((0, circuit.PATH_LABELS[sample.labels0[i, a]]),)
+        + tuple((layer, circuit.PATH_LABELS[labs[i]])
+                for layer, labs in zip(sample.bs_layers[arm], sample.bs_labels[arm]))
+        for a, arm in enumerate("LR")
+    )
+    return outcome, records
+
+
+def _run_one(circ, labels, coords):
+    """Push one hidden configuration through the sampler."""
+    return _run(circuit.sample_bohmian_runs(circ, 0, 0, hidden=([labels], [coords])), 0)
 
 
 def test_transport_left_first_outcome_set_by_left_coordinate():
-    circ = circuit.build_eraser(INT, INT, exact=True)
-    low = circuit.bohmian_transport(
-        circ, circuit.PathConfiguration(("1", "1"), (R(3, 10), R(7, 10))))
-    assert low.outcome.pair() == ("L2", "R2")
-    assert low.config.record_left == ((0, "1"), (1, "1"))
-    assert low.config.record_right == ((0, "1"), (3, "1"))
-    assert low.config.coords == (R(3, 5), R(7, 20))
+    circ = circuit.build_eraser(INT, INT)
+    outcome, (rec_l, rec_r) = _run_one(circ, [0, 0], [0.3, 0.7])
+    assert outcome == ("L2", "R2")
+    assert rec_l == ((0, "1"), (1, "1"))
+    assert rec_r == ((0, "1"), (3, "1"))
 
-    high = circuit.bohmian_transport(
-        circ, circuit.PathConfiguration(("1", "1"), (R(7, 10), R(7, 10))))
-    assert high.outcome.pair() == ("L1", "R1")
-    assert high.config.record_left == ((0, "1"), (1, "2"))
-    assert high.config.record_right == ((0, "1"), (3, "2"))
+    outcome, (rec_l, rec_r) = _run_one(circ, [0, 0], [0.7, 0.7])
+    assert outcome == ("L1", "R1")
+    assert rec_l == ((0, "1"), (1, "2"))
+    assert rec_r == ((0, "1"), (3, "2"))
 
     # the right coordinate is irrelevant here: same left coordinate, far
     # right coordinate moved
-    again = circuit.bohmian_transport(
-        circ, circuit.PathConfiguration(("1", "1"), (R(3, 10), R(1, 10))))
-    assert again.outcome.pair() == ("L2", "R2")
+    outcome, _ = _run_one(circ, [0, 0], [0.3, 0.1])
+    assert outcome == ("L2", "R2")
 
 
 def test_transport_right_first_left_record_set_by_right_coordinate():
-    circ = circuit.build_eraser(INT, INT, right_acts_first=True, exact=True)
-    a = circuit.bohmian_transport(
-        circ, circuit.PathConfiguration(("1", "1"), (R(3, 10), R(1, 4))))
-    b = circuit.bohmian_transport(
-        circ, circuit.PathConfiguration(("1", "1"), (R(3, 10), R(3, 4))))
+    circ = circuit.build_eraser(INT, INT, right_acts_first=True)
+    out_a, (rec_a, _) = _run_one(circ, [0, 0], [0.3, 0.25])
+    out_b, (rec_b, _) = _run_one(circ, [0, 0], [0.3, 0.75])
     # identical left hidden value, different left record
-    assert a.config.record_left == ((0, "1"), (3, "1"))
-    assert b.config.record_left == ((0, "1"), (3, "2"))
-    assert a.outcome.pair() == ("L2", "R2")
-    assert b.outcome.pair() == ("L1", "R1")
+    assert rec_a == ((0, "1"), (3, "1"))
+    assert rec_b == ((0, "1"), (3, "2"))
+    assert out_a == ("L2", "R2")
+    assert out_b == ("L1", "R1")
 
 
 def test_transport_input_configuration_untouched():
-    circ = circuit.build_eraser(INT, INT, exact=True)
-    cfg = circuit.PathConfiguration(("1", "1"), (R(3, 10), R(7, 10)))
-    circuit.bohmian_transport(circ, cfg)
-    assert cfg.record_left == () and cfg.coords == (R(3, 10), R(7, 10))
+    circ = circuit.build_eraser(INT, INT)
+    labels0 = np.array([[0, 0], [1, 1]])
+    coords0 = np.array([[0.3, 0.7], [0.6, 0.2]])
+    sample = circuit.sample_bohmian_runs(circ, 0, 0, hidden=(labels0, coords0))
+    assert np.array_equal(labels0, [[0, 0], [1, 1]])
+    assert np.array_equal(coords0, [[0.3, 0.7], [0.6, 0.2]])
+    assert sample.labels0 is not labels0 and sample.coords0 is not coords0
 
 
 # ---------------------------------------------------------------------------
@@ -368,22 +390,25 @@ def test_sampler_deterministic_per_seed():
     assert not np.array_equal(a.coords0, c.coords0)
 
 
-def test_sampler_agrees_with_scalar_transport():
-    rng = stream(3, 5)
-    configs = circuit.sample_equilibrium_configs(200, rng)
-    for left, right, rfirst in [(INT, INT, False), (INT, WP, True), (WP, INT, False)]:
+def test_sampler_agrees_with_exact_enumeration():
+    # every sampled run must carry the outcome and records of the exact cell
+    # whose initial rectangle holds its hidden value
+    for left, right, rfirst in _ENUM_SETTINGS:
+        cells = circuit.enumerate_transport(
+            circuit.build_eraser(left, right, right_acts_first=rfirst, exact=True)).cells
         circ = circuit.build_eraser(left, right, right_acts_first=rfirst)
-        labels0 = np.array(
-            [[circuit.PATH_LABELS.index(c.labels[0]),
-              circuit.PATH_LABELS.index(c.labels[1])] for c in configs])
-        coords0 = np.array([c.coords for c in configs])
-        sample = circuit.sample_bohmian_runs(circ, 0, seed=0, hidden=(labels0, coords0))
-        pairs = sample.outcome_pairs()
-        recs = sample.record_tuples()
-        for i, cfg in enumerate(configs):
-            res = circuit.bohmian_transport(circ, cfg)
-            assert res.outcome.pair() == pairs[i]
-            assert (res.config.record_left, res.config.record_right) == recs[i]
+        sample = circuit.sample_bohmian_runs(circ, 200, seed=3, stream_index=5)
+        for i in range(sample.n):
+            labels0 = tuple(int(v) for v in sample.labels0[i])
+            coords0 = sample.coords0[i]
+            holding = [
+                c for c in cells
+                if c.labels0 == labels0
+                and all(float(lo) <= x < float(hi) for (lo, hi), x in zip(c.init, coords0))
+            ]
+            assert len(holding) == 1, (left, right, rfirst, labels0, coords0)
+            cell = holding[0]
+            assert _run(sample, i) == ((cell.outcome["L"], cell.outcome["R"]), cell.recs)
 
 
 def test_sampler_frequencies_match_exact_weights():
@@ -392,19 +417,28 @@ def test_sampler_frequencies_match_exact_weights():
         circ_f = circuit.build_eraser(left, right)
         circ_e = circuit.build_eraser(left, right, exact=True)
         weights = circuit.copenhagen_joint_distribution(circ_e)
-        sample = circuit.sample_bohmian_runs(circ_f, n, seed=7, stream_index=0)
-        counts: dict = {}
-        for pair in sample.outcome_pairs():
-            counts[pair] = counts.get(pair, 0) + 1
+        counts = circuit.sample_bohmian_runs(circ_f, n, seed=7, stream_index=0).outcome_counts()
+        assert sum(counts.values()) == n
         for key, w in weights.items():
             p = float(w)
             se = max((p * (1 - p) / n) ** 0.5, 1e-9)
             assert abs(counts.get(key, 0) / n - p) < 3 * se + 1e-12, key
 
 
+def test_outcome_counts_list_only_occurring_pairs():
+    # (interference, interference) never fires L1 with R2 or L2 with R1
+    sample = circuit.sample_bohmian_runs(circuit.build_eraser(INT, INT), 1000, seed=1)
+    counts = sample.outcome_counts()
+    assert set(counts) == {("L1", "R1"), ("L2", "R2")}
+    assert counts == Counter(
+        (f"L{a}", f"R{b}") for a, b in sample.outcomes.tolist())
+    empty = circuit.sample_bohmian_runs(circuit.build_eraser(INT, WP), 0, seed=1)
+    assert empty.outcome_counts() == Counter()
+
+
 def test_setting_dependence_right_first_half():
-    configs = circuit.sample_equilibrium_configs(400, stream(11, 2))
-    report = circuit.trajectory_setting_dependence(configs, right_acts_first=True)
+    report = circuit.trajectory_setting_dependence(400, seed=11, stream_index=2,
+                                                   right_acts_first=True)
     assert report.n == 400
     assert abs(report.changed_fraction - 0.5) < 3 * (0.25 / 400) ** 0.5
     assert 0 < len(report.examples) <= 3
@@ -413,17 +447,19 @@ def test_setting_dependence_right_first_half():
 
 
 def test_setting_dependence_vanishes_left_first():
-    configs = circuit.sample_equilibrium_configs(200, stream(12, 2))
-    report = circuit.trajectory_setting_dependence(configs, right_acts_first=False)
+    report = circuit.trajectory_setting_dependence(200, seed=12, stream_index=2,
+                                                   right_acts_first=False)
     assert report.changed_fraction == 0.0
     assert report.examples == ()
 
 
 def test_equilibrium_configs_on_support_only():
-    configs = circuit.sample_equilibrium_configs(2000, stream(13, 2))
-    assert all(c.labels[0] == c.labels[1] for c in configs)
-    frac = sum(1 for c in configs if c.labels[0] == "1") / 2000
+    circ = circuit.build_eraser(INT, INT)
+    sample = circuit.sample_bohmian_runs(circ, 2000, seed=13, stream_index=2)
+    assert np.array_equal(sample.labels0[:, 0], sample.labels0[:, 1])
+    frac = float(np.mean(sample.labels0[:, 0] == 0))
     assert abs(frac - 0.5) < 3 * (0.25 / 2000) ** 0.5
+    assert np.all((sample.coords0 >= 0.0) & (sample.coords0 < 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +470,13 @@ def test_export_path_records_roundtrip(tmp_path):
     circ = circuit.build_eraser(INT, INT)
     sample = circuit.sample_bohmian_runs(circ, 5, seed=2, stream_index=1)
     out = tmp_path / "records.json"
-    circuit.export_path_records_json(out, sample.run_dicts())
+    out.write_text(json.dumps(sample.run_dicts(), indent=2, sort_keys=True))
     loaded = json.loads(out.read_text())
     assert len(loaded) == 5
     for run in loaded:
         assert set(run) == {"hidden", "settings", "record_L", "record_R", "outcome"}
         assert run["record_L"][0][0] == 0
         assert run["outcome"]["left"].startswith("L")
-    again = tmp_path / "records2.json"
-    circuit.export_path_records_json(again, sample.run_dicts())
-    assert out.read_bytes() == again.read_bytes()
+    assert loaded == sample.run_dicts()
+    again = circuit.sample_bohmian_runs(circ, 5, seed=2, stream_index=1)
+    assert json.dumps(again.run_dicts(), indent=2, sort_keys=True) == out.read_text()

@@ -36,6 +36,18 @@ def test_schema_verb(capsys):
     assert single["type"] == "object"
 
 
+def test_docs_schemas_match_module():
+    docs = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "docs", "schemas")
+    on_disk = {}
+    for fname in os.listdir(docs):
+        if fname.endswith(".json"):
+            with open(os.path.join(docs, fname)) as fh:
+                on_disk[fname[: -len(".json")]] = json.load(fh)
+    assert sorted(on_disk) == sorted(schemas.SCHEMAS)
+    for name, schema in schemas.SCHEMAS.items():
+        assert on_disk[name] == schema, name
+
+
 def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["run", "unknown_scenario"]) == 1

@@ -1,4 +1,4 @@
-"""Golden digests: every artifact byte of the grid scenarios at small configs.
+"""Golden digests: every artifact byte of every scenario at small configs.
 
 Criterion 11 only proves that one build agrees with itself; these pins make
 a refactor that changes any emitted byte fail loudly.  `manifest.json` is
@@ -25,17 +25,33 @@ from qfoundations.cli import main
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_digests.json")
 
-SCENARIOS = {
-    "free_packet": ["--trials", "200", "--steps", "200", "--format", "json,csv,svg"],
-    "harmonic": ["--trials", "200", "--steps", "300"],
-    "double_slit": ["--trials", "100", "--steps", "300"],
+# pin name -> (scenario, arguments)
+PINS = {
+    "free_packet": ("free_packet", ["--trials", "200", "--steps", "200", "--format", "json,csv,svg"]),
+    "harmonic": ("harmonic", ["--trials", "200", "--steps", "300"]),
+    "double_slit": ("double_slit", ["--trials", "100", "--steps", "300"]),
+    "eraser": ("eraser", ["--format", "json,csv,svg"]),
+    "eraser_montecarlo": (
+        "eraser", ["--mode", "montecarlo", "--trials", "20000", "--format", "json,csv,svg"]
+    ),
+    "eraser_montecarlo_whichpath_right_first": (
+        "eraser",
+        [
+            "--mode", "montecarlo", "--trials", "20000", "--format", "json,csv,svg",
+            "--right", "whichpath", "--right-acts-first",
+        ],
+    ),
+    "repeatability": ("repeatability", []),
+    "bell_chsh": ("bell_chsh", []),
+    "claims_suite": ("claims_suite", ["--trials", "20000"]),
 }
 
 
-def _digests(scenario, outdir):
-    code = main(["run", scenario, "--out", str(outdir), *SCENARIOS[scenario]])
+def _digests(pin, outdir):
+    scenario, args = PINS[pin]
+    code = main(["run", scenario, "--out", str(outdir), *args])
     if code != 0:
-        raise RuntimeError(f"{scenario} exited with {code}")
+        raise RuntimeError(f"{pin} exited with {code}")
     found = {}
     for root, _, names in os.walk(outdir):
         for name in names:
@@ -53,19 +69,31 @@ def _golden():
         return json.load(fh)
 
 
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_grid_scenario_bytes_match_golden(scenario, tmp_path, capsys):
+def _check(pin, tmp_path, capsys):
     golden = _golden()
     pinned_numpy = golden["generated_with"]["numpy"]
     if np.__version__ != pinned_numpy:
         pytest.skip(f"digests pinned with numpy {pinned_numpy}, running {np.__version__}")
-    pinned = golden["scenarios"][scenario]
-    assert pinned["args"] == SCENARIOS[scenario]
-    found = _digests(scenario, tmp_path / scenario)
+    pinned = golden["scenarios"][pin]
+    assert pinned["args"] == PINS[pin][1]
+    found = _digests(pin, tmp_path / pin)
     capsys.readouterr()
     assert sorted(found) == sorted(pinned["digests"])
     changed = [name for name, sha in found.items() if pinned["digests"][name] != sha]
-    assert not changed, f"{scenario}: artifacts differ from the golden digests: {changed}"
+    assert not changed, f"{pin}: artifacts differ from the golden digests: {changed}"
+
+
+_GRID = ("double_slit", "free_packet", "harmonic")
+
+
+@pytest.mark.parametrize("scenario", _GRID)
+def test_grid_scenario_bytes_match_golden(scenario, tmp_path, capsys):
+    _check(scenario, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("pin", sorted(set(PINS) - set(_GRID)))
+def test_scenario_bytes_match_golden(pin, tmp_path, capsys):
+    _check(pin, tmp_path, capsys)
 
 
 def _write(outroot):
@@ -73,7 +101,7 @@ def _write(outroot):
         "generated_with": {"python": sys.version.split()[0], "numpy": np.__version__},
         "scenarios": {
             name: {"args": args, "digests": _digests(name, os.path.join(outroot, name))}
-            for name, args in SCENARIOS.items()
+            for name, (_, args) in PINS.items()
         },
     }
     with open(GOLDEN_PATH, "w", newline="\n") as fh:

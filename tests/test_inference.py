@@ -10,13 +10,13 @@ violation is actually flagged.
 import itertools
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 import sympy as sp
 
 from qfoundations import circuit, hilbert, inference
-from qfoundations.streams import stream
 
 INT = circuit.INTERFERENCE
 WP = circuit.WHICHPATH
@@ -126,24 +126,18 @@ def test_local_causality_zero_probability_condition_rejected():
 def test_local_causality_monte_carlo_ladder():
     joint = {k: float(v) for k, v in _exact_eraser().items() if v != 0}
     pairs = inference.sample_outcome_pairs(joint, 1000, seed=3)
-    recs = [inference.RunRecord((INT, INT), p) for p in pairs]
-    rep = inference.local_causality_test(recs, "L1", "R1")
+    rep = inference.local_causality_test(Counter(pairs), "L1", "R1")
     assert rep.verdict == inference.VIOLATED
     assert rep.mode == inference.MONTE_CARLO
+    assert rep.n == 1000
     assert rep.details["ci_low"] > 0.0
 
     # four runs cannot settle anything
-    tiny = inference.local_causality_test(recs[:4], "L1", "R1")
+    tiny = inference.local_causality_test(Counter(pairs[:4]), "L1", "R1")
     assert tiny.verdict == inference.INCONCLUSIVE
 
-
-def test_local_causality_rejects_mixed_contexts():
-    recs = [
-        inference.RunRecord((INT, INT), ("L1", "R1"), context="seed0"),
-        inference.RunRecord((INT, INT), ("L2", "R2"), context="seed1"),
-    ]
-    with pytest.raises(ValueError, match="context"):
-        inference.local_causality_test(recs, "L1", "R1")
+    with pytest.raises(ValueError, match="never occurred"):
+        inference.local_causality_test(Counter(pairs), "L1", "R3")
 
 
 def test_mwi_joint_distribution_agrees_with_copenhagen():
@@ -202,11 +196,12 @@ def test_mi_analytic_pre_detection_violated_with_diagnostics():
     assert rep.details["initial_config_tv"] < 1e-12
 
 
-def test_mi_monte_carlo_hidden_absent_inconclusive():
-    recs = [inference.RunRecord((INT, INT), ("L1", "R1")) for _ in range(100)]
-    rep = inference.measurement_independence_test({"a": recs, "b": recs})
-    assert rep.verdict == inference.INCONCLUSIVE
-    assert "absent" in rep.details["reason"]
+def _record_counts(sample, arms=("L", "R")):
+    """Runs per path record: initial labels plus every beam-splitter label
+    on the requested arms."""
+    rows = [sample.labels0[:, "LR".index(arm)] for arm in arms]
+    rows += [labs for arm in arms for labs in sample.bs_labels[arm]]
+    return Counter(zip(*(r.tolist() for r in rows)))
 
 
 def test_mi_monte_carlo_left_record_marginal_invariant():
@@ -218,15 +213,16 @@ def test_mi_monte_carlo_left_record_marginal_invariant():
         sample = circuit.sample_bohmian_runs(circ, n, seed=21, stream_index=0,
                                              hidden=hidden)
         hidden = (sample.labels0, sample.coords0)  # same initial ensemble
-        groups[key] = sample.record_tuples(arms=("L",))
+        groups[key] = _record_counts(sample, arms=("L",))
     rep = inference.measurement_independence_test(groups)
     assert rep.verdict == inference.SATISFIED
+    assert rep.n == n
 
     # the full records still differ: support is disjoint across settings
     full = {
-        key: circuit.sample_bohmian_runs(
+        key: _record_counts(circuit.sample_bohmian_runs(
             circuit.build_eraser(*lr, right_acts_first=True), 3000, seed=21,
-            stream_index=0).record_tuples()
+            stream_index=0))
         for key, lr in {"int": (INT, INT), "wp": (INT, WP)}.items()
     }
     rep_full = inference.measurement_independence_test(full)
@@ -236,7 +232,9 @@ def test_mi_monte_carlo_left_record_marginal_invariant():
 
 def test_mi_requires_two_groups():
     with pytest.raises(ValueError, match="two settings"):
-        inference.measurement_independence_test({"only": [("r",)]})
+        inference.measurement_independence_test({"only": Counter([("r",)])})
+    with pytest.raises(ValueError, match="no records"):
+        inference.measurement_independence_test({"a": Counter([("r",)]), "b": Counter()})
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +265,12 @@ def test_no_signaling_monte_carlo_ladder():
         "s1": inference.sample_outcome_pairs(joint, 50_000, seed=4, stream_index=0),
         "s2": inference.sample_outcome_pairs(joint, 50_000, seed=4, stream_index=1),
     }
-    rep = inference.no_signaling_test(big, side="left")
+    rep = inference.no_signaling_test({k: Counter(v) for k, v in big.items()}, side="left")
     assert rep.verdict == inference.SATISFIED
+    assert rep.n == 50_000
     assert rep.details["widest_ci_edge"] < inference.EQUIVALENCE_MARGIN
 
-    small = {k: v[:300] for k, v in big.items()}
+    small = {k: Counter(v[:300]) for k, v in big.items()}
     rep_small = inference.no_signaling_test(small, side="left")
     assert rep_small.verdict == inference.INCONCLUSIVE
 
@@ -280,22 +279,28 @@ def test_no_signaling_monte_carlo_detects_shifted_marginal():
     fair = {("L1", "R1"): 0.5, ("L2", "R2"): 0.5}
     skew = {("L1", "R1"): 0.9, ("L2", "R2"): 0.1}
     groups = {
-        "s1": inference.sample_outcome_pairs(fair, 2000, seed=6, stream_index=0),
-        "s2": inference.sample_outcome_pairs(skew, 2000, seed=6, stream_index=1),
+        "s1": Counter(inference.sample_outcome_pairs(fair, 2000, seed=6, stream_index=0)),
+        "s2": Counter(inference.sample_outcome_pairs(skew, 2000, seed=6, stream_index=1)),
     }
     rep = inference.no_signaling_test(groups, side="left")
     assert rep.verdict == inference.VIOLATED
 
 
 def test_no_signaling_accepts_run_records_and_right_side():
-    joint = {k: float(v) for k, v in _exact_eraser().items() if v != 0}
-    pairs = inference.sample_outcome_pairs(joint, 1000, seed=8)
-    as_records = [inference.RunRecord((INT, INT), p) for p in pairs]
-    a = inference.no_signaling_test({"s1": pairs, "s2": pairs}, side="right")
-    b = inference.no_signaling_test({"s1": as_records, "s2": as_records}, side="right")
-    assert a.statistic == b.statistic == 0.0
+    # run records arrive as count tables; the right side reads pair[1]
+    fair = {("L1", "R1"): 0.5, ("L2", "R2"): 0.5}
+    only_r4 = {("L1", "R4"): 0.5, ("L2", "R4"): 0.5}
+    counts = Counter(inference.sample_outcome_pairs(fair, 1000, seed=8))
+    same = inference.no_signaling_test({"s1": counts, "s2": counts}, side="right")
+    assert same.mode == inference.MONTE_CARLO
+    assert same.statistic == 0.0
+    moved = Counter(inference.sample_outcome_pairs(only_r4, 1000, seed=8, stream_index=1))
+    assert inference.no_signaling_test({"s1": counts, "s2": moved}, side="left").statistic < 0.1
+    right = inference.no_signaling_test({"s1": counts, "s2": moved}, side="right")
+    assert right.verdict == inference.VIOLATED
+    assert right.statistic == 1.0  # R4 never fires under s1, always under s2
     with pytest.raises(ValueError, match="two remote settings"):
-        inference.no_signaling_test({"s1": pairs})
+        inference.no_signaling_test({"s1": counts})
 
 
 # ---------------------------------------------------------------------------
