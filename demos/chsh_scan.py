@@ -28,11 +28,11 @@ def main():
     print(f"  ({len(models)} strategies total, none beats 2)")
 
     res = inference.chsh_optimize()
-    print(f"\nentangled source, grid + local refinement:")
+    print("\nentangled source, maximum over the setting grid:")
     print(f"  S_max = {res.s_value:.12f}")
     print(f"  2*sqrt(2) = {2 * math.sqrt(2):.12f}")
     print(f"  exact value at the winning grid settings: {res.exact_value}")
-    angles = ", ".join(f"{a / math.pi:.4f}*pi" for a in res.grid_settings)
+    angles = ", ".join(f"{a / math.pi:.4f}*pi" for a in res.settings)
     print(f"  settings: {angles}")
 
 

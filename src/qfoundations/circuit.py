@@ -345,11 +345,12 @@ class BohmianSample:
             {(f"L{k // 4 + 1}", f"R{k % 4 + 1}"): int(c) for k, c in enumerate(counts) if c}
         )
 
-    def run_dicts(self) -> list[dict]:
-        """Export form: one dict per run, matching the path-record JSON schema."""
+    def run_dicts(self, limit: int | None = None) -> list[dict]:
+        """Export form: one dict per run, matching the path-record JSON schema,
+        for the first `limit` runs (all runs when None)."""
         left, right = self.circuit.settings
         out = []
-        for i in range(self.n):
+        for i in range(self.n if limit is None else min(limit, self.n)):
             recs = {}
             for arm, a in (("L", 0), ("R", 1)):
                 entries = [[0, PATH_LABELS[self.labels0[i, a]]]]

@@ -351,11 +351,8 @@ def _run_eraser(cfg: dict, outdir: str) -> tuple[list[str], bool]:
                 _joint_distribution_payload(circ, freqs, "montecarlo", n=n, counts=counts),
             )
         )
-        cap = min(n, 500)
         files.append(
-            _write_json(
-                os.path.join(outdir, "path_records.json"), sample.run_dicts()[:cap]
-            )
+            _write_json(os.path.join(outdir, "path_records.json"), sample.run_dicts(500))
         )
     if "csv" in cfg["formats"]:
         rows = (
@@ -378,7 +375,7 @@ def _run_eraser(cfg: dict, outdir: str) -> tuple[list[str], bool]:
             )
         )
     if "svg" in cfg["formats"]:
-        svg = svgplot.render_eraser_records(sample.run_dicts()[: min(n, 20)])
+        svg = svgplot.render_eraser_records(sample.run_dicts(20))
         files.append(_write_text(os.path.join(outdir, "records.svg"), svg))
     return files, True
 
@@ -516,16 +513,17 @@ def _chsh_payload(cfg: dict) -> dict:
     payload = {
         "s_max": float(result.s_value),
         "settings": [float(v) for v in result.settings],
-        "grid_value": float(result.grid_value),
-        "grid_settings": [float(v) for v in result.grid_settings],
-        "exact_value": None if result.exact_value is None else str(result.exact_value),
+        # kept for the schema: S is maximized on the grid itself
+        "grid_value": float(result.s_value),
+        "grid_settings": [float(v) for v in result.settings],
+        "exact_value": str(result.exact_value),
         "local_model_max": float(local_max),
         "local_models": len(models),
         "monte_carlo": None,
     }
     if cfg["mode"] == "montecarlo":
         n = cfg["trials"]
-        t1, t2, f1, f2 = result.grid_settings
+        t1, t2, f1, f2 = result.settings
         estimate = 0.0
         variance = 0.0
         for k, (tl, tr, sign) in enumerate(

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-import scipy.optimize
 import sympy as sp
 
 from . import circuit, hilbert
@@ -46,6 +45,7 @@ __all__ = [
     "measurement_independence_test",
     "no_signaling_test",
     "correlator",
+    "correlator_table",
     "chsh_value",
     "chsh_optimize",
     "CHSHResult",
@@ -522,20 +522,42 @@ def no_signaling_test(groups: Mapping, side: str = "left") -> TestReport:
 # CHSH
 
 
+def correlator_table(thetas_left, thetas_right) -> np.ndarray:
+    """E for every (theta_L, theta_R) pair at once, shape (len(L), len(R)).
+
+    Each entry is the Born table of the both-arms-interfering eraser: the
+    source state from `circuit.initial_state` with one
+    `circuit.beam_splitter_matrix` per arm, in the same float arithmetic
+    as `circuit.copenhagen_joint_distribution`.
+    """
+    psi0 = circuit.initial_state().amplitudes.reshape(2, 2)
+    b_left = np.array([circuit.beam_splitter_matrix(t) for t in thetas_left])
+    b_right = np.array([circuit.beam_splitter_matrix(t) for t in thetas_right])
+    amps = np.einsum("aij,jk,blk->abil", b_left, psi0, b_right)
+    p = amps.real * amps.real + amps.imag * amps.imag
+    # summed in the order of the (left, right) outcome names, for the same bits
+    return ((p[..., 1, 1] - p[..., 1, 0]) - p[..., 0, 1]) + p[..., 0, 0]
+
+
 def correlator(theta_left, theta_right, exact: bool = False):
     """E(theta_L, theta_R) with +1 on the sum-port detector, -1 on the
-    difference-port detector, both arms interfering."""
+    difference-port detector, both arms interfering.
+
+    The float value is one entry of `correlator_table`; the exact value
+    comes from a sympy eraser circuit.
+    """
+    if not exact:
+        return float(correlator_table([theta_left], [theta_right])[0, 0])
     circ = circuit.build_eraser(
         circuit.INTERFERENCE,
         circuit.INTERFERENCE,
         theta_left=theta_left,
         theta_right=theta_right,
-        exact=exact,
+        exact=True,
     )
     dist = circuit.copenhagen_joint_distribution(circ)
     signs = {"1": -1, "2": 1}
-    e = sum(signs[l[-1]] * signs[r[-1]] * p for (l, r), p in dist.items())
-    return sp.simplify(e) if exact else float(e)
+    return sp.simplify(sum(signs[l[-1]] * signs[r[-1]] * p for (l, r), p in dist.items()))
 
 
 def chsh_value(settings: Sequence, exact: bool = False):
@@ -550,58 +572,36 @@ def chsh_value(settings: Sequence, exact: bool = False):
     return sp.simplify(s) if exact else float(s)
 
 
-@dataclass(frozen=True)
-class CHSHResult:
-    s_value: float
-    settings: tuple[float, float, float, float]
-    grid_value: float
-    grid_settings: tuple[float, float, float, float]
-    exact_value: object = None
-
-
-def chsh_optimize(step: float = np.pi / 32, refine: bool = True, exact_check: bool = True) -> CHSHResult:
-    """Brute-force the CHSH maximum over a step-spaced angle grid, refine
-    locally, and (optionally) recompute the grid optimum in exact arithmetic.
-    """
-    grid = np.arange(0.0, np.pi / 2 + step / 2, step)
-    m = len(grid)
-    e = np.empty((m, m))
-    for i, tl in enumerate(grid):
-        for j, tr in enumerate(grid):
-            e[i, j] = correlator(tl, tr)
-    s = (
+def _chsh_table(e: np.ndarray) -> np.ndarray:
+    """S at every (t1, t2, f1, f2) index quadruple of a correlator table."""
+    return (
         e[:, None, :, None]
         + e[:, None, None, :]
         + e[None, :, :, None]
         - e[None, :, None, :]
     )
-    flat = int(np.argmax(s))
-    idx = np.unravel_index(flat, s.shape)
-    grid_settings = tuple(float(grid[k]) for k in idx)
-    grid_value = float(s[idx])
 
-    best = grid_value
-    best_settings = grid_settings
-    if refine:
-        res = scipy.optimize.minimize(
-            lambda v: -chsh_value(v),
-            x0=np.array(grid_settings),
-            method="Nelder-Mead",
-            bounds=[(0.0, np.pi / 2)] * 4,
-            options={"xatol": 1e-11, "fatol": 1e-12, "maxiter": 4000},
-        )
-        if -res.fun > best:
-            best = -res.fun
-            best_settings = tuple(float(v) for v in res.x)
 
-    exact_value = None
-    if exact_check:
-        # the grid is k*(step) with step a rational multiple of pi, so the
-        # winning settings have exact representatives
-        frac = sp.nsimplify(step / float(np.pi), rational=True)
-        exact_settings = [sp.pi * frac * int(k) for k in idx]
-        exact_value = sp.simplify(chsh_value(exact_settings, exact=True))
-    return CHSHResult(best, tuple(best_settings), grid_value, grid_settings, exact_value)
+@dataclass(frozen=True)
+class CHSHResult:
+    s_value: float
+    settings: tuple[float, float, float, float]
+    exact_value: object
+
+
+def chsh_optimize(step: float = np.pi / 32) -> CHSHResult:
+    """Maximize S over the step-spaced angle grid on [0, pi/2], from one
+    `correlator_table`, and recompute S at the winning settings in exact
+    arithmetic.
+    """
+    grid = np.arange(0.0, np.pi / 2 + step / 2, step)
+    s = _chsh_table(correlator_table(grid, grid))
+    idx = np.unravel_index(int(np.argmax(s)), s.shape)
+    # the grid is k*(step) with step a rational multiple of pi, so the
+    # winning settings have exact representatives
+    frac = sp.nsimplify(step / float(np.pi), rational=True)
+    exact_value = sp.simplify(chsh_value([sp.pi * frac * int(k) for k in idx], exact=True))
+    return CHSHResult(float(s[idx]), tuple(float(grid[k]) for k in idx), exact_value)
 
 
 @dataclass(frozen=True)
@@ -643,14 +643,7 @@ def local_model_chsh_max(model: LocalModel, step: float = np.pi / 32) -> float:
     grid = np.arange(0.0, np.pi / 2 + step / 2, step)
     a = np.array([model.left(t) for t in grid], dtype=float)
     b = np.array([model.right(t) for t in grid], dtype=float)
-    e = np.outer(a, b)
-    s = (
-        e[:, None, :, None]
-        + e[:, None, None, :]
-        + e[None, :, :, None]
-        - e[None, :, None, :]
-    )
-    return float(np.max(np.abs(s)))
+    return float(np.max(np.abs(_chsh_table(np.outer(a, b)))))
 
 
 # ---------------------------------------------------------------------------
@@ -796,9 +789,9 @@ def branch_collapse_equivalence(
     # the verdict compares the max |z| over all frequency comparisons, so the
     # threshold must grow with their number; Bonferroni at family level 1%
     if z_threshold is None:
-        from scipy.stats import norm
+        from scipy.special import ndtri
 
-        z_threshold = float(norm.ppf(1.0 - 0.01 / (2.0 * max(comparisons, 1))))
+        z_threshold = float(ndtri(1.0 - 0.01 / (2.0 * max(comparisons, 1))))
     ok = max_weight_dev <= 1e-12 and max_z <= z_threshold
     return TestReport(
         test="branch_collapse_equivalence",

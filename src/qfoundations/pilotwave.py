@@ -399,6 +399,8 @@ def velocity_field(
 def sample_equilibrium(psi: GridWavefunction, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n positions from |psi|^2: inverse CDF over cells, uniform jitter inside.
 
+    Node q_k carries the mass of the cell [q_k - dq/2, q_k + dq/2), centred
+    on it, so the ensemble sits on |psi|^2 and not half a cell beside it.
     Draw order is fixed (cell block first, jitter block second) so results
     depend only on the stream, not on call structure.
     """
@@ -412,7 +414,7 @@ def sample_equilibrium(psi: GridWavefunction, n: int, rng: np.random.Generator) 
     unravel = np.unravel_index(cells, grid.shape)
     out = np.empty((n, grid.ndim))
     for d, axis in enumerate(grid.axes):
-        out[:, d] = axis.qmin + (unravel[d] + jitter[:, d]) * axis.dq
+        out[:, d] = axis.qmin + (unravel[d] + jitter[:, d] - 0.5) * axis.dq
     return out
 
 
@@ -538,11 +540,12 @@ class EquivarianceReport:
 
 
 def _ks_marginal(xs: np.ndarray, axis: GridAxis, masses: np.ndarray) -> float:
-    """Exact KS distance of a sample against the piecewise-linear cell-mass CDF."""
+    """Exact KS distance of a sample against the piecewise-linear CDF of the
+    node-centred cell masses that `sample_equilibrium` draws from."""
     m = masses / masses.sum()
     cum = np.concatenate([[0.0], np.cumsum(m)])
     xs = np.sort(xs)
-    u = np.clip((xs - axis.qmin) / axis.dq, 0.0, axis.npoints - 1e-12)
+    u = np.clip((xs - axis.qmin) / axis.dq + 0.5, 0.0, axis.npoints - 1e-12)
     i = np.floor(u).astype(np.intp)
     model = cum[i] + (u - i) * m[i]
     n = xs.size

@@ -7,8 +7,9 @@ import os
 import jsonschema
 import pytest
 
-from qfoundations import schemas
+from qfoundations import pilotwave, schemas
 from qfoundations.cli import main
+from qfoundations.streams import stream
 
 
 def _validate(path, schema_name):
@@ -232,6 +233,26 @@ def test_bell_scenario(tmp_path, capsys):
     assert res["local_model_max"] == 2.0
     assert res["exact_value"] == "2*sqrt(2)"
     assert (out / "chsh_summary.csv").exists()
+
+
+def test_free_packet_equivariance_holds_from_start_to_end(tmp_path, capsys):
+    # a seed that failed while the sampler sat half a cell off |psi|^2: an
+    # exact transport keeps the end-time KS statistic at its t = 0 value
+    seed = 1231908698
+    out = tmp_path / "free"
+    assert main(["run", "free_packet", "--seed", str(seed), "--format", "json", "--out", str(out)]) == 0
+    capsys.readouterr()
+    end = _validate(out / "equivariance_report.json", "equivariance_report")
+    assert end["verdict"] == "pass"
+    # the free_packet defaults and the scenario's sampling stream
+    grid = pilotwave.GridSpec.make((-24.0, 24.0, 512))
+    psi0 = pilotwave.init_wavefunction(
+        grid, pilotwave.GaussianProfile(center=(0.0,), width=(1.0,), momentum=(0.0,))
+    )
+    start = pilotwave.check_equivariance(
+        pilotwave.sample_equilibrium(psi0, end["n"], stream(seed, 0)), psi0
+    )
+    assert abs(end["statistic"] - start.statistic) < 1e-3
 
 
 # ---------------------------------------------------------------------------

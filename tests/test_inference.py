@@ -338,14 +338,33 @@ def test_chsh_value_at_textbook_settings():
                - 2 * math.sqrt(2)) < 1e-12
 
 
+# chsh_optimize's default grid: multiples of pi/32 on [0, pi/2]
+_CHSH_GRID = np.arange(0.0, np.pi / 2 + np.pi / 64, np.pi / 32)
+
+
+def test_correlator_table_matches_circuit_born_table_bit_for_bit():
+    # reference: the per-circuit Born table, one freshly built eraser per pair
+    grid = _CHSH_GRID
+    table = inference.correlator_table(grid, grid)
+    signs = {"1": -1, "2": 1}
+    for i, tl in enumerate(grid):
+        for j, tr in enumerate(grid):
+            circ = circuit.build_eraser(INT, INT, theta_left=tl, theta_right=tr)
+            dist = circuit.copenhagen_joint_distribution(circ)
+            e = float(sum(signs[l[-1]] * signs[r[-1]] * p for (l, r), p in dist.items()))
+            assert table[i, j] == e, (i, j)
+            assert inference.correlator(tl, tr) == e
+
+
 def test_chsh_optimize_reaches_tsirelson():
     res = inference.chsh_optimize()
+    grid = _CHSH_GRID
+    e = inference.correlator_table(grid, grid)
+    assert res.settings == tuple(float(v) for v in grid[[6, 14, 10, 2]])
+    assert res.s_value == e[6, 10] + e[6, 2] + e[14, 10] - e[14, 2]
+    assert res.s_value == float(np.max(inference._chsh_table(e)))
     assert abs(res.s_value - 2 * math.sqrt(2)) < 1e-9
     assert sp.simplify(res.exact_value - 2 * sp.sqrt(2)) == 0
-    assert res.grid_value <= res.s_value + 1e-12
-    step = math.pi / 32
-    assert np.allclose(res.grid_settings,
-                       (6 * step, 14 * step, 10 * step, 2 * step), atol=1e-12)
 
 
 def test_local_models_capped_at_two():

@@ -294,6 +294,19 @@ def test_sample_two_gaussian_half_fraction():
     assert abs(frac - 0.5) < 3 * math.sqrt(0.25 / n)
 
 
+def test_sample_single_node_draws_stay_in_its_centred_cell():
+    # all mass on one node of a 2D grid: every draw lies in the cell
+    # [q_k - dq/2, q_k + dq/2) on each axis, not beside the node
+    grid = pilotwave.GridSpec.make((-8.0, 8.0, 64), (0.0, 16.0, 64))
+    values = np.zeros(grid.shape)
+    values[20, 5] = 1.0 / math.sqrt(grid.cell_volume)
+    xs = pilotwave.sample_equilibrium(pilotwave.GridWavefunction(grid, values), 2000, stream(9, 0))
+    for d, k in enumerate((20, 5)):
+        axis = grid.axes[d]
+        q = axis.nodes[k]
+        assert np.all(xs[:, d] >= q - axis.dq / 2) and np.all(xs[:, d] < q + axis.dq / 2)
+
+
 def test_sample_ks_against_analytic_gaussian_cdf():
     grid = pilotwave.GridSpec.make((-12.0, 12.0, 1024))
     psi = pilotwave.init_wavefunction(
