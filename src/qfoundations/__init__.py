@@ -5,10 +5,11 @@ branching, density matrices), ``pilotwave`` (grid Schroedinger evolution with
 guided trajectories), ``circuit`` (a discrete delayed-choice eraser with a
 deterministic hidden-variable transport rule), ``inference`` (statistical
 verdicts: locality, measurement independence, no-signaling, CHSH,
-repeatability), and ``cli`` (seeded scenario runner).
+repeatability), and ``cli`` (seeded scenario runner).  ``exact`` holds the
+exact scalars (cyclotomic field elements) of the analytic computations.
 """
 
-from . import circuit, hilbert, inference, pilotwave, schemas, svgplot
+from . import circuit, exact, hilbert, inference, pilotwave, schemas, svgplot
 from .cli import main
 from .streams import stream
 
@@ -17,6 +18,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "circuit",
+    "exact",
     "hilbert",
     "inference",
     "main",

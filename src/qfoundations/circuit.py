@@ -37,9 +37,10 @@ whether a beam splitter was present here at all.
 Modes: float Monte Carlo lives in `sample_bohmian_runs`, which pushes whole
 ensembles through the circuit as arrays (a single configuration is a
 one-row ensemble passed as `hidden`); exact arithmetic lives only in
-`enumerate_transport`, which uses sympy radicals for analytic claims (at
-theta = pi/4 and pi/8 multiples every probability lives in a small quadratic
-extension of the rationals, and comparisons are exact).
+`enumerate_transport`, whose analytic claims run on `exact.Cyclotomic`
+scalars (exact circuits take `exact.pi_times` angles, so every amplitude and
+probability lies in a cyclotomic field, where zero tests are exact and signs
+are decided or refused, never guessed).
 """
 
 from __future__ import annotations
@@ -47,11 +48,12 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-import sympy as sp
 
+from . import exact as ex
 from . import hilbert
 from .streams import stream
 
@@ -159,6 +161,9 @@ def build_eraser(
     """Two-arm eraser circuit; interference arms get a beam splitter before
     their terminal detector, which-path arms only the detector.
 
+    The angles default to pi/4; an exact circuit takes them as
+    `exact.pi_times` angles, a float circuit as radians (or those angles).
+
     Layer times honor `right_acts_first`: the full right arm acts before the
     left one when set, else the other way around.  Each arm owns a fixed pair
     of layer slots (1-2 for the first-acting arm, 3-4 for the second) no
@@ -168,11 +173,13 @@ def build_eraser(
     for setting in (left, right):
         if setting not in (INTERFERENCE, WHICHPATH):
             raise ValueError(f"unknown setting {setting!r}")
-    quarter = sp.pi / 4 if exact else np.pi / 4
+    quarter = ex.pi_times(Fraction(1, 4)) if exact else np.pi / 4
     thetas = {
         "L": theta_left if theta_left is not None else quarter,
         "R": theta_right if theta_right is not None else quarter,
     }
+    if exact and not all(isinstance(t, ex.Angle) for t in thetas.values()):
+        raise TypeError("an exact circuit takes exact.pi_times angles, not radians")
     settings = {"L": left, "R": right}
     order = ("R", "L") if right_acts_first else ("L", "R")
     elements = []
@@ -201,8 +208,8 @@ def joint_space() -> hilbert.HilbertSpace:
 def initial_state(exact: bool = False) -> hilbert.StateVector:
     """(|11> + |22>)/sqrt(2) on the joint path space."""
     if exact:
-        r = 1 / sp.sqrt(2)
-        amps = np.array([r, sp.Integer(0), sp.Integer(0), r], dtype=object)
+        r = ex.SQRT2 / 2
+        amps = np.array([r, ex.ZERO, ex.ZERO, r], dtype=object)
     else:
         r = 1.0 / np.sqrt(2.0)
         amps = np.array([r, 0.0, 0.0, r], dtype=np.complex128)
@@ -210,10 +217,13 @@ def initial_state(exact: bool = False) -> hilbert.StateVector:
 
 
 def beam_splitter_matrix(theta, phase=0, exact: bool = False) -> np.ndarray:
-    """2x2 action on (|1>, |2>) amplitude columns; see the module docstring."""
+    """2x2 action on (|1>, |2>) amplitude columns; see the module docstring.
+
+    Exact matrices take `exact.pi_times` angles for theta and a nonzero phase.
+    """
     if exact:
-        c, s = sp.cos(theta), sp.sin(theta)
-        ph = sp.exp(sp.I * phase) if phase != 0 else 1
+        c, s = theta.cos(), theta.sin()
+        ph = phase.exp_i() if phase != 0 else ex.ONE
         return np.array([[c, s * ph], [s, -c * ph]], dtype=object)
     c, s = np.cos(float(theta)), np.sin(float(theta))
     ph = np.exp(1j * float(phase)) if phase else 1.0
@@ -222,7 +232,7 @@ def beam_splitter_matrix(theta, phase=0, exact: bool = False) -> np.ndarray:
 
 def _identity2(exact: bool) -> np.ndarray:
     if exact:
-        return np.array([[sp.Integer(1), sp.Integer(0)], [sp.Integer(0), sp.Integer(1)]], dtype=object)
+        return np.array([[ex.ONE, ex.ZERO], [ex.ZERO, ex.ONE]], dtype=object)
     return np.eye(2, dtype=np.complex128)
 
 
@@ -244,7 +254,7 @@ def evolved_state(circ: OpticalCircuit) -> hilbert.StateVector:
 
 def _prob(z, exact: bool):
     if exact:
-        return sp.expand(z * sp.conjugate(z))
+        return z * z.conjugate()
     zz = complex(z)
     return zz.real * zz.real + zz.imag * zz.imag
 
@@ -268,7 +278,7 @@ def copenhagen_joint_distribution(circ: OpticalCircuit) -> dict:
         out[(name_l, name_r)] = _prob(amps[l, r], circ.exact)
     total = sum(out.values())
     if circ.exact:
-        if sp.simplify(total - 1) != 0:
+        if total != 1:
             raise RuntimeError("joint distribution must sum to 1 exactly")
     elif not abs(float(total) - 1.0) < 1e-12:
         raise RuntimeError(f"joint distribution sums to {float(total)!r}, not 1")
@@ -281,17 +291,8 @@ def copenhagen_joint_distribution(circ: OpticalCircuit) -> dict:
 
 def _is_zero(v, exact: bool) -> bool:
     if exact:
-        return sp.simplify(v) == 0
+        return v == 0
     return abs(v) <= _FLOAT_PROB_FLOOR
-
-
-def _lt(a, b, exact: bool) -> bool:
-    if not exact:
-        return a < b
-    d = sp.simplify(a - b)
-    if d == 0:
-        return False
-    return bool(d.evalf(50) < 0)
 
 
 def _conditional(state: list, arm: int, other_label: int, exact: bool) -> list:
@@ -541,8 +542,8 @@ def enumerate_transport(circ: OpticalCircuit) -> TransportEnumeration:
     the circuit is exact).
     """
     exact = circ.exact
-    one = sp.Integer(1) if exact else 1.0
-    zero = sp.Integer(0) if exact else 0.0
+    one = ex.ONE if exact else 1.0
+    zero = ex.ZERO if exact else 0.0
     psi0 = initial_state(exact=exact).amplitudes.reshape(2, 2)
 
     cells: list[_Cell] = []
@@ -610,9 +611,9 @@ def enumerate_transport(circ: OpticalCircuit) -> TransportEnumeration:
                 after = _conditional(new_state, arm, other, exact)
                 bounds = [zero, after[0], one]
                 for k in range(2):
-                    plo = clo if _lt(bounds[k], clo, exact) else bounds[k]
-                    phi = chi if _lt(chi, bounds[k + 1], exact) else bounds[k + 1]
-                    if not _lt(plo, phi, exact):
+                    plo = clo if bounds[k] < clo else bounds[k]
+                    phi = chi if chi < bounds[k + 1] else bounds[k + 1]
+                    if not plo < phi:
                         continue
                     frac_lo = (plo - clo) / (chi - clo)
                     frac_hi = (phi - clo) / (chi - clo)
@@ -672,12 +673,12 @@ def enumerate_transport(circ: OpticalCircuit) -> TransportEnumeration:
     )
 
 
-def _rect_intersection_area(ra, rb, exact: bool):
+def _rect_intersection_area(ra, rb):
     area = None
     for (alo, ahi), (blo, bhi) in zip(ra, rb):
-        lo = blo if _lt(alo, blo, exact) else alo
-        hi = bhi if _lt(bhi, ahi, exact) else ahi
-        if not _lt(lo, hi, exact):
+        lo = blo if alo < blo else alo
+        hi = bhi if bhi < ahi else ahi
+        if not lo < hi:
             return None
         side = hi - lo
         area = side if area is None else area * side
@@ -699,21 +700,20 @@ def record_overlap_distance(
     if exact != enum_b.circuit.exact:
         raise ValueError("cannot mix exact and float enumerations")
     armsel = tuple("LR".index(a) for a in arms)
-    zero = sp.Integer(0) if exact else 0.0
     psi0 = initial_state(exact=exact).amplitudes.reshape(2, 2)
-    agree = zero
+    agree = ex.ZERO if exact else 0.0
     for ca in enum_a.cells:
         for cb in enum_b.cells:
             if ca.labels0 != cb.labels0:
                 continue
             if tuple(ca.recs[i] for i in armsel) != tuple(cb.recs[i] for i in armsel):
                 continue
-            inter = _rect_intersection_area(ca.init, cb.init, exact)
+            inter = _rect_intersection_area(ca.init, cb.init)
             if inter is None:
                 continue
             agree = agree + _prob(psi0[ca.labels0[0]][ca.labels0[1]], exact) * inter
     dist = 1 - agree
-    return sp.simplify(dist) if exact else float(dist)
+    return dist if exact else float(dist)
 
 
 # ---------------------------------------------------------------------------

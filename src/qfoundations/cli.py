@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import hashlib
 import json
 import math
@@ -25,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import circuit, inference, pilotwave, schemas, svgplot
+from . import circuit, exact, inference, pilotwave, schemas, svgplot
 from .streams import stream
 
 __all__ = ["main"]
@@ -44,6 +45,13 @@ _IDX_CONFIGS = 400
 _IDX_BRANCH = 500
 _IDX_CHSH = 600
 _IDX_SAMPLING = 700
+
+# analytic --theta must be k*pi/q with q at most this
+_MAX_THETA_DENOMINATOR = 64
+
+# glibc mallopt parameter M_TOP_PAD, and the heap slack a run keeps
+_M_TOP_PAD = -2
+_HEAP_TOP_PAD = 16 << 20
 
 _COMMON_DEFAULTS = {
     "seed": 7,
@@ -211,9 +219,7 @@ def _joint_distribution_payload(circ, dist, mode, n=None, counts=None) -> dict:
     for (left, right), p in sorted(dist.items()):
         entry = {"left": left, "right": right, "probability": float(p)}
         if mode == "analytic" and circ.exact:
-            import sympy as sp
-
-            entry["exact"] = str(sp.nsimplify(p))
+            entry["exact"] = str(p)
         if counts is not None:
             entry["count"] = int(counts.get((left, right), 0))
         entries.append(entry)
@@ -299,11 +305,22 @@ def _enumeration_runs(enum: circuit.TransportEnumeration) -> list[dict]:
 def _run_eraser(cfg: dict, outdir: str) -> tuple[list[str], bool]:
     files = []
     analytic = cfg["mode"] == "analytic"
+    theta = cfg["theta"]
+    if analytic and theta is not None:
+        # exact arithmetic needs the angle as a pi-fraction, not a float
+        frac = exact.nearest_pi_fraction(theta, max_denominator=_MAX_THETA_DENOMINATOR)
+        if frac is None:
+            raise _fail_usage(
+                f"config error at $.theta: {theta!r} is not k*pi/q for any q <= "
+                f"{_MAX_THETA_DENOMINATOR} (within 1e-12), which analytic mode needs; "
+                "use --mode montecarlo for other angles"
+            )
+        theta = exact.pi_times(frac)
     circ = circuit.build_eraser(
         cfg["left"],
         cfg["right"],
-        theta_left=cfg["theta"],
-        theta_right=cfg["theta"],
+        theta_left=theta,
+        theta_right=theta,
         right_acts_first=cfg["right_acts_first"],
         exact=analytic,
     )
@@ -580,9 +597,7 @@ def _claim(claims: list, name: str, expected: str, report: inference.TestReport)
 def _transport_equivariance_report() -> inference.TestReport:
     """Exact layer-by-layer agreement between transport and Born weights,
     across all setting pairs and both time orderings."""
-    import sympy as sp
-
-    worst = 0
+    worst = exact.ZERO
     checked = 0
     for left in (circuit.INTERFERENCE, circuit.WHICHPATH):
         for right in (circuit.INTERFERENCE, circuit.WHICHPATH):
@@ -598,13 +613,13 @@ def _transport_equivariance_report() -> inference.TestReport:
                         raise RuntimeError(f"transport layer {layer_a} paired with Born layer {layer_b}")
                     dev = inference.total_variation(dist, ref)
                     checked += 1
-                    if sp.simplify(dev - worst) > 0:
+                    if dev > worst:
                         worst = dev
     return inference.TestReport(
         test="transport_equivariance",
         statistic=float(worst),
         threshold=0.0,
-        verdict=inference.SATISFIED if sp.simplify(worst) == 0 else inference.VIOLATED,
+        verdict=inference.SATISFIED if worst == 0 else inference.VIOLATED,
         n=0,
         mode=inference.ANALYTIC,
         details={"layer_tables_checked": checked, "settings": 4, "orderings": 2},
@@ -991,8 +1006,29 @@ _SCENARIOS = {
 # verbs
 
 
+def _keep_freed_heap() -> None:
+    """Have glibc keep 16 MB of freed heap instead of returning it at once.
+
+    Each pilot-wave step allocates and frees about 1 MB of numpy temporaries
+    of 80 KB each.  On a small heap, glibc's default 128 KB trim threshold
+    hands them back to the OS every step and faults them in again: about
+    300 page faults per step, a third of `free_packet`'s run time.  Other
+    platforms are left alone.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
+
+
 def _cmd_run(args) -> int:
     cfg = _merge_config(args)
+    _keep_freed_heap()
     outdir = cfg["out"]
     try:
         os.makedirs(outdir, exist_ok=True)

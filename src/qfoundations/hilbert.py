@@ -17,7 +17,7 @@ nonzero-probability outcome as a weighted relative state instead of sampling
 one.  Both descriptions produce identical statistics, which the test suite
 checks head on.
 
-States built with exact scalars (sympy expressions in an object array) are
+States built with exact scalars (`exact.Cyclotomic` in an object array) are
 accepted by the linear operations (`tensor`, `evolve`); spectral operations
 (observables, collapse, density matrices) require float states.
 """
@@ -52,6 +52,7 @@ __all__ = [
     "born_distribution",
     "collapse",
     "measure",
+    "measure_many",
     "branch",
     "branch_joint_distribution",
     "path_observable",
@@ -478,6 +479,45 @@ def measure(state: StateVector, obs: Observable, rng: np.random.Generator):
             break
     outcome = obs.outcomes[k]
     return outcome, collapse(state, obs, outcome)
+
+
+# measure_many's `collapse` flag hides the function of that name inside it
+_post_state = collapse
+
+
+def measure_many(
+    state: StateVector, obs: Observable, rng: np.random.Generator, n: int, collapse: bool = True
+) -> np.ndarray:
+    """n runs of two immediate successive measurements, batched.
+
+    Returns the outcome indices into `obs.outcomes`, shape (n, 2).  With
+    `collapse` the second measurement acts on the first one's post state,
+    without it on `state` again.  The result equals calling `measure` 2n
+    times in run order: the uniforms come from one `rng.random` call in the
+    same order, each pick is the first index whose sequential cumulative
+    Born weight exceeds its uniform (the last index if none), and every
+    picked outcome is collapsed on once per distinct state, so the Born-sum
+    check and the impossible-outcome floor fire as they would there.
+    """
+    u = rng.random(2 * n).reshape(n, 2)
+    picks = np.empty((n, 2), dtype=np.intp)
+    states = [state]
+    current = np.zeros(n, dtype=np.intp)  # index into states, per run
+    for r in range(2):
+        nxt = current.copy()
+        for sid in np.unique(current):
+            rows = np.flatnonzero(current == sid)
+            # np.cumsum adds in order, like the running sum in `measure`
+            cum = np.cumsum(_outcome_probabilities(states[sid], obs))
+            k = np.minimum(np.searchsorted(cum, u[rows, r], side="right"), len(cum) - 1)
+            picks[rows, r] = k
+            for o in np.unique(k):
+                post = _post_state(states[sid], obs, obs.outcomes[o])
+                if collapse:
+                    states.append(post)
+                    nxt[rows[k == o]] = len(states) - 1
+        current = nxt
+    return picks
 
 
 @dataclass(frozen=True)

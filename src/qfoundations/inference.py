@@ -7,8 +7,9 @@ no-signaling (do far settings move near marginals), repeatability (does an
 immediate second measurement agree), branch/collapse agreement (do branch
 weights match collapse frequencies), and the CHSH combination of
 correlators.  A test runs in one of two modes: analytic, where the tables
-come from exact enumeration or closed-form linear algebra and verdicts rest
-on exact zero tests, and monte-carlo, where they are `collections.Counter`
+come from exact enumeration or closed-form linear algebra (exact tables hold
+`exact.Cyclotomic` scalars) and verdicts rest on exact zero tests, and
+monte-carlo, where they are `collections.Counter`
 tables of run counts keyed like the analytic tables (n is the sum of the
 counts) and verdicts rest on 99% confidence intervals.  A monte-carlo
 verdict is never "violated" or "satisfied" while the interval straddles the
@@ -24,9 +25,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-import sympy as sp
 
 from . import circuit, hilbert
+from . import exact as ex
 from .streams import stream
 
 __all__ = [
@@ -64,6 +65,9 @@ MONTE_CARLO = "monte-carlo"
 
 Z99 = 2.5758293035489004  # two-sided 99% standard-normal quantile
 _ZERO_TOL = 1e-12  # float stand-in for "exactly zero" in analytic tables
+# largest q of a CHSH grid step k*pi/q that the exact recompute accepts; the
+# float table has (q/2 + 1)**4 entries, so no usable grid comes near it
+_MAX_STEP_DENOMINATOR = 1 << 12
 # the effects these tests probe are 0.25-0.5 on the probability scale; a
 # Monte-Carlo "satisfied" additionally requires the CI to rule out anything
 # a tenth that size, else the verdict stays inconclusive
@@ -106,12 +110,12 @@ def _jsonable(value):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, sp.Basic):
-        return str(value)
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.floating,)):
         return float(value)
+    if isinstance(value, ex.Cyclotomic):
+        return str(value)
     return value
 
 
@@ -157,12 +161,12 @@ def _interval_verdict(ci_low: float, ci_high: float, margin: float = EQUIVALENCE
 
 
 def _is_exact(values) -> bool:
-    return any(isinstance(v, sp.Basic) for v in values)
+    return any(isinstance(v, ex.Cyclotomic) for v in values)
 
 
 def _nonzero(value, exact: bool) -> bool:
     if exact:
-        return sp.simplify(value) != 0
+        return value != 0
     return abs(float(value)) > _ZERO_TOL
 
 
@@ -170,12 +174,11 @@ def total_variation(d1: Mapping, d2: Mapping):
     """TV distance between two discrete distributions over a shared key set."""
     keys = set(d1) | set(d2)
     exact = _is_exact([d1.get(k, 0) for k in keys] + [d2.get(k, 0) for k in keys])
-    acc = 0
+    acc = ex.ZERO if exact else 0.0
     for k in keys:
         a, b = d1.get(k, 0), d2.get(k, 0)
-        acc = acc + (sp.Abs(a - b) if exact else abs(float(a) - float(b)))
-    half = acc / 2
-    return sp.simplify(half) if exact else float(half)
+        acc = acc + (abs(a - b) if exact else abs(float(a) - float(b)))
+    return acc / 2
 
 
 def sample_outcome_pairs(joint: Mapping, n: int, seed: int, stream_index: int = 0) -> list:
@@ -225,7 +228,7 @@ def local_causality_test(records, a_event: str, b_event: str) -> TestReport:
             "p_a_given_b": float(pab / pb),
         }
         if exact:
-            details["exact_statistic"] = sp.simplify(sp.Abs(diff))
+            details["exact_statistic"] = abs(diff)
         return TestReport(
             test="local_causality",
             statistic=abs(float(diff)),
@@ -314,16 +317,16 @@ def _mi_analytic(groups: Mapping, stage: str) -> TestReport:
         dists = [e.record_distribution for e in enums]
         note = "records compared before any terminal detection entry"
 
-    stat = 0
+    stat = ex.ZERO if exact else 0.0
     for i in range(len(dists)):
         for j in range(i + 1, len(dists)):
             tv = total_variation(dists[i], dists[j])
-            if (sp.simplify(tv - stat) > 0) if exact else (float(tv) > float(stat)):
+            if tv > stat:
                 stat = tv
 
     details: dict = {"settings": [str(k) for k in keys], "stage": stage, "note": note}
     if exact:
-        details["exact_statistic"] = sp.simplify(stat)
+        details["exact_statistic"] = stat
     if stage != "initial" and len(enums) == 2:
         # paired diagnostics: what fraction of initial configurations gets a
         # different record, overall and on the arm whose setting is shared
@@ -340,13 +343,13 @@ def _mi_analytic(groups: Mapping, stage: str) -> TestReport:
             details[f"{arm}_changed_measure"] = float(paired)
             details[f"{arm}_record_tv"] = float(armmarg)
             if exact:
-                details[f"{arm}_changed_measure_exact"] = sp.simplify(paired)
+                details[f"{arm}_changed_measure_exact"] = paired
         init_tv = total_variation(
             enums[0].initial_label_distribution(), enums[1].initial_label_distribution()
         )
         details["initial_config_tv"] = float(init_tv)
         if exact:
-            details["initial_config_tv_exact"] = sp.simplify(init_tv)
+            details["initial_config_tv_exact"] = init_tv
 
     violated = _nonzero(stat, exact)
     return TestReport(
@@ -456,19 +459,17 @@ def no_signaling_test(groups: Mapping, side: str = "left") -> TestReport:
         exact = any(_is_exact(v.values()) for v in values)
         margs = {k: _local_marginal(v, idx) for k, v in groups.items()}
         keys = list(margs)
-        stat = 0
+        stat = ex.ZERO if exact else 0.0
         for i in range(len(keys)):
             for j in range(i + 1, len(keys)):
                 for a in set(margs[keys[i]]) | set(margs[keys[j]]):
-                    d = sp.Abs(margs[keys[i]].get(a, 0) - margs[keys[j]].get(a, 0)) if exact else abs(
-                        float(margs[keys[i]].get(a, 0)) - float(margs[keys[j]].get(a, 0))
-                    )
-                    bigger = (sp.simplify(d - stat) > 0) if exact else (d > stat)
-                    if bigger:
+                    p_i, p_j = margs[keys[i]].get(a, 0), margs[keys[j]].get(a, 0)
+                    d = abs(p_i - p_j) if exact else abs(float(p_i) - float(p_j))
+                    if d > stat:
                         stat = d
         details = {"marginals": {str(k): {a: float(p) for a, p in m.items()} for k, m in margs.items()}}
         if exact:
-            details["exact_statistic"] = sp.simplify(stat)
+            details["exact_statistic"] = stat
         return TestReport(
             test="no_signaling",
             statistic=float(stat),
@@ -544,7 +545,7 @@ def correlator(theta_left, theta_right, exact: bool = False):
     difference-port detector, both arms interfering.
 
     The float value is one entry of `correlator_table`; the exact value
-    comes from a sympy eraser circuit.
+    comes from an exact eraser circuit and takes `exact.pi_times` angles.
     """
     if not exact:
         return float(correlator_table([theta_left], [theta_right])[0, 0])
@@ -557,7 +558,7 @@ def correlator(theta_left, theta_right, exact: bool = False):
     )
     dist = circuit.copenhagen_joint_distribution(circ)
     signs = {"1": -1, "2": 1}
-    return sp.simplify(sum(signs[l[-1]] * signs[r[-1]] * p for (l, r), p in dist.items()))
+    return sum(signs[l[-1]] * signs[r[-1]] * p for (l, r), p in dist.items())
 
 
 def chsh_value(settings: Sequence, exact: bool = False):
@@ -569,7 +570,7 @@ def chsh_value(settings: Sequence, exact: bool = False):
         + correlator(t2, f1, exact)
         - correlator(t2, f2, exact)
     )
-    return sp.simplify(s) if exact else float(s)
+    return s if exact else float(s)
 
 
 def _chsh_table(e: np.ndarray) -> np.ndarray:
@@ -592,15 +593,15 @@ class CHSHResult:
 def chsh_optimize(step: float = np.pi / 32) -> CHSHResult:
     """Maximize S over the step-spaced angle grid on [0, pi/2], from one
     `correlator_table`, and recompute S at the winning settings in exact
-    arithmetic.
+    arithmetic.  `step` must be a rational multiple of pi.
     """
+    frac = ex.nearest_pi_fraction(step, max_denominator=_MAX_STEP_DENOMINATOR)
+    if frac is None:
+        raise ValueError(f"grid step {step!r} is not k*pi/q for any q <= {_MAX_STEP_DENOMINATOR}")
     grid = np.arange(0.0, np.pi / 2 + step / 2, step)
     s = _chsh_table(correlator_table(grid, grid))
     idx = np.unravel_index(int(np.argmax(s)), s.shape)
-    # the grid is k*(step) with step a rational multiple of pi, so the
-    # winning settings have exact representatives
-    frac = sp.nsimplify(step / float(np.pi), rational=True)
-    exact_value = sp.simplify(chsh_value([sp.pi * frac * int(k) for k in idx], exact=True))
+    exact_value = chsh_value([ex.pi_times(frac * int(k)) for k in idx], exact=True)
     return CHSHResult(float(s[idx]), tuple(float(grid[k]) for k in idx), exact_value)
 
 
@@ -690,13 +691,10 @@ def repeatability_test(
             details={"collapse": collapse, "outcome_probabilities": probs},
         )
 
-    rng = stream(seed, stream_index)
-    differ = 0
-    for _ in range(n):
-        first, post = hilbert.measure(state, observable, rng)
-        second, _ = hilbert.measure(post if collapse else state, observable, rng)
-        if second != first:
-            differ += 1
+    picks = hilbert.measure_many(state, observable, stream(seed, stream_index), n, collapse=collapse)
+    outcomes = observable.outcomes
+    same = np.array([[a == b for b in outcomes] for a in outcomes], dtype=bool)
+    differ = int(np.count_nonzero(~same[picks[:, 0], picks[:, 1]]))
     stat = differ / n
     lo, hi = wilson_interval(differ, n)
     # the projection postulate predicts zero flips outright, so any flip

@@ -602,16 +602,34 @@ def check_equivariance(
     return EquivarianceReport(stat, float(threshold), n, n_absorbed, verdict)
 
 
-def _sort_count(a: np.ndarray) -> tuple[np.ndarray, int]:
+def _inversion_count(a: np.ndarray) -> int:
+    """Pairs i < j with a[i] > a[j], by a bottom-up merge count in numpy.
+
+    Values become ranks, equal values sharing one, so ties never count.  At
+    width w the array holds sorted blocks of w ranks; tagging each rank with
+    its block pair, key = pair * n + rank, makes all left blocks one sorted
+    array, so one `searchsorted` counts, for every right-block element, the
+    left-block elements above it, and one sort merges every pair.
+    """
     n = a.size
-    if n <= 1:
-        return a, 0
-    mid = n // 2
-    left, cl = _sort_count(a[:mid])
-    right, cr = _sort_count(a[mid:])
-    # pairs (i in left, j in right) with left_i > right_j
-    cross = int((left.size - np.searchsorted(left, right, side="right")).sum())
-    return np.sort(np.concatenate([left, right]), kind="mergesort"), cl + cr + cross
+    vals = np.unique(a, return_inverse=True)[1].reshape(-1).astype(np.int64)
+    pos = np.arange(n, dtype=np.int64)
+    count = 0
+    width = 1
+    while width < n:
+        pair = pos // (2 * width)
+        key = pair * n + vals
+        is_left = (pos // width) % 2 == 0
+        left_keys = key[is_left]
+        right_pair = pair[~is_left]
+        # left block of pair p: starts at p * width in left_keys, holds width
+        # ranks (every left block of a pair with a right block is full)
+        at_most = np.searchsorted(left_keys, key[~is_left], side="right") - right_pair * width
+        count += int((width - at_most).sum())
+        key.sort()
+        vals = key - pair * n
+        width *= 2
+    return count
 
 
 def check_noncrossing(run_or_positions) -> int:
@@ -622,8 +640,8 @@ def check_noncrossing(run_or_positions) -> int:
     snapshot pair is reordered by the earlier positions (ties broken by the
     later ones), and the swaps are the inversions of the later positions in
     that order.  A crossing-free pair leaves them non-decreasing, which one
-    O(n) comparison confirms; only otherwise does the O(n log n) merge count
-    `_sort_count` run.  Only defined for one spatial axis.
+    O(n) comparison confirms; only otherwise does the O(n log^2 n) merge count
+    `_inversion_count` run.  Only defined for one spatial axis.
     """
     if isinstance(run_or_positions, TrajectoryRun):
         run = run_or_positions
@@ -644,7 +662,7 @@ def check_noncrossing(run_or_positions) -> int:
     for before, after in zip(series[:-1], series[1:]):
         later = after[np.lexsort((after, before))]
         if not np.all(later[1:] >= later[:-1]):
-            violations += _sort_count(later)[1]
+            violations += _inversion_count(later)
     return violations
 
 
@@ -701,14 +719,13 @@ def export_wavefunction_csv(directory, run: TrajectoryRun) -> list:
     meshes = run.grid.meshes()
     coords = np.stack([m.reshape(-1) for m in meshes], axis=1)
     header = ",".join(f"q{d + 1}" for d in range(run.grid.ndim)) + ",re,im"
+    # the grid columns are the same text in every snapshot
+    qs = [",".join(map(repr, row)) for row in coords.tolist()]
     for step, wf in zip(run.saved_steps, run.wavefunctions):
         flat = wf.values.reshape(-1)
-        lines = [header]
-        for row, z in zip(coords, flat):
-            qs = ",".join(repr(float(x)) for x in row)
-            lines.append(f"{qs},{float(z.real)!r},{float(z.imag)!r}")
+        rows = zip(qs, map(repr, flat.real.tolist()), map(repr, flat.imag.tolist()))
         p = os.path.join(directory, f"wavefunction_{int(step):06d}.csv")
         with open(p, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(header + "\n" + "".join(f"{q},{re},{im}\n" for q, re, im in rows))
         paths.append(p)
     return paths

@@ -112,7 +112,7 @@ def test_criterion_05_measurement_independence_violation():
     }
     pre = inference.measurement_independence_test(groups, stage="pre_detection")
     assert pre.verdict == inference.VIOLATED
-    assert sp.simplify(pre.details["exact_statistic"]) > 0
+    assert pre.details["exact_statistic"] > 0
 
     initial = inference.measurement_independence_test(groups, stage="initial")
     assert initial.verdict == inference.SATISFIED
@@ -139,7 +139,7 @@ def test_criterion_06_transport_equivariance_every_layer():
         ):
             for key in set(got) | set(want):
                 diff = got.get(key, 0) - want.get(key, 0)
-                assert sp.simplify(diff) == 0, (left, right, rfirst, layer, key)
+                assert diff == 0, (left, right, rfirst, layer, key)
     _done(6, "transport equals Born at every layer, all settings, both orders")
 
 

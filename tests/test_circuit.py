@@ -2,22 +2,26 @@
 
 Joint detector statistics are checked against an oracle that rebuilds the
 state evolution from raw sympy matrices (kron products and column vectors,
-no code under test).  Transport facts are frozen from hand-worked cases:
-with both arms reading interference at theta = pi/4, the left coordinate
-alone fixes the outcome pair when the left arm acts first, and the *right*
-coordinate fixes the left record when the right arm acts first.  The float
-sampler is checked run by run against the exact enumeration's cells.
+no code under test); exact circuits take `exact.pi_times` angles and the
+oracle the same pi-fractions as sympy angles.  Transport facts are frozen
+from hand-worked cases: with both arms reading interference at theta = pi/4,
+the left coordinate alone fixes the outcome pair when the left arm acts
+first, and the *right* coordinate fixes the left record when the right arm
+acts first.  The float sampler is checked run by run against the exact
+enumeration's cells.
 """
 
 import itertools
 import json
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy as sp
+from sympy_oracle import agrees, sympy_angle
 
-from qfoundations import circuit
+from qfoundations import circuit, exact
 
 INT = circuit.INTERFERENCE
 WP = circuit.WHICHPATH
@@ -59,26 +63,33 @@ def _oracle_joint(left, right, theta_l, theta_r, right_acts_first=False):
     return out
 
 
+# angles as multiples of pi
 _ORACLE_CASES = [
-    (INT, INT, sp.pi / 4, sp.pi / 4, False),
-    (INT, INT, sp.pi / 4, sp.pi / 4, True),
-    (INT, WP, sp.pi / 4, None, False),
-    (WP, INT, None, sp.pi / 4, True),
+    (INT, INT, Fraction(1, 4), Fraction(1, 4), False),
+    (INT, INT, Fraction(1, 4), Fraction(1, 4), True),
+    (INT, WP, Fraction(1, 4), None, False),
+    (WP, INT, None, Fraction(1, 4), True),
     (WP, WP, None, None, False),
-    (INT, INT, sp.pi / 8, 3 * sp.pi / 8, False),
-    (INT, INT, sp.pi / 8, sp.pi / 3, True),
+    (INT, INT, Fraction(1, 8), Fraction(3, 8), False),
+    (INT, INT, Fraction(1, 8), Fraction(1, 3), True),
 ]
+
+
+def _angles(tl, tr, make, default=None):
+    return tuple(default if t is None else make(t) for t in (tl, tr))
 
 
 @pytest.mark.parametrize("left,right,tl,tr,rfirst", _ORACLE_CASES)
 def test_joint_distribution_matches_sympy_oracle(left, right, tl, tr, rfirst):
-    circ = circuit.build_eraser(left, right, theta_left=tl, theta_right=tr,
+    exact_l, exact_r = _angles(tl, tr, exact.pi_times)
+    circ = circuit.build_eraser(left, right, theta_left=exact_l, theta_right=exact_r,
                                 right_acts_first=rfirst, exact=True)
     got = circuit.copenhagen_joint_distribution(circ)
-    want = _oracle_joint(left, right, tl, tr, right_acts_first=rfirst)
+    sym_l, sym_r = _angles(tl, tr, sympy_angle, default=sp.pi / 4)
+    want = _oracle_joint(left, right, sym_l, sym_r, right_acts_first=rfirst)
     assert set(got) == set(want)
     for key in want:
-        assert sp.simplify(got[key] - want[key]) == 0, key
+        assert agrees(got[key], want[key]), key
 
 
 def test_joint_distribution_frozen_values():
@@ -111,12 +122,16 @@ def test_joint_distribution_order_independent():
 
 
 def test_beam_splitter_convention_and_orthogonality():
-    th = sp.Symbol("theta", real=True)
-    b = sp.Matrix(2, 2, lambda i, j: circuit.beam_splitter_matrix(th, exact=True)[i, j])
-    assert b[:, 0] == sp.Matrix([sp.cos(th), sp.sin(th)])
-    assert sp.simplify(b * b.T - sp.eye(2)) == sp.zeros(2)
-    quarter = circuit.beam_splitter_matrix(sp.pi / 4, exact=True)
-    assert quarter[0, 0] == 1 / sp.sqrt(2)
+    for multiple in (Fraction(0), Fraction(1, 8), Fraction(1, 3), Fraction(5, 12), Fraction(1, 2)):
+        b = circuit.beam_splitter_matrix(exact.pi_times(multiple), exact=True)
+        th = sympy_angle(multiple)
+        assert agrees(b[0, 0], sp.cos(th)) and agrees(b[1, 0], sp.sin(th))
+        assert agrees(b[0, 1], sp.sin(th)) and agrees(b[1, 1], -sp.cos(th))
+        # real orthogonal, decided exactly in the field
+        assert (b @ b.T == np.array([[1, 0], [0, 1]], dtype=object)).all()
+    quarter = circuit.beam_splitter_matrix(exact.pi_times(Fraction(1, 4)), exact=True)
+    assert quarter[0, 0] == exact.SQRT2 / 2
+    assert agrees(quarter[0, 0], 1 / sp.sqrt(2))
 
 
 def test_detector_names_and_outcome_names():
@@ -291,7 +306,7 @@ def test_enumeration_matches_born_at_every_layer(left, right, rfirst):
         assert layer_a == layer_b
         for key in want:
             diff = got.get(key, 0) - want[key]
-            assert sp.simplify(diff) == 0, (layer_a, key)
+            assert diff == 0, (layer_a, key)
 
 
 @pytest.mark.parametrize("left,right,rfirst", _ENUM_SETTINGS)
@@ -299,12 +314,12 @@ def test_enumeration_cells_partition_the_hidden_space(left, right, rfirst):
     circ = circuit.build_eraser(left, right, right_acts_first=rfirst, exact=True)
     enum = circuit.enumerate_transport(circ)
     total = sum(
-        R(1, 2)
+        Fraction(1, 2)
         * (c.init[0][1] - c.init[0][0])
         * (c.init[1][1] - c.init[1][0])
         for c in enum.cells
     )
-    assert sp.simplify(total - 1) == 0
+    assert total == 1
     # initial rectangles with the same source labels never overlap
     by_labels = {}
     for c in enum.cells:
@@ -312,7 +327,7 @@ def test_enumeration_cells_partition_the_hidden_space(left, right, rfirst):
     for rects in by_labels.values():
         for ra, rb in itertools.combinations(rects, 2):
             overlap = all(
-                sp.simplify(sp.Min(ra[d][1], rb[d][1]) - sp.Max(ra[d][0], rb[d][0])) > 0
+                min(ra[d][1], rb[d][1]) - max(ra[d][0], rb[d][0]) > 0
                 for d in range(2)
             )
             assert not overlap, (ra, rb)
@@ -325,7 +340,7 @@ def test_enumeration_outcome_distribution_matches_copenhagen():
         born = circuit.copenhagen_joint_distribution(circ)
         for key in born:
             diff = enum.outcome_distribution.get(key, 0) - born[key]
-            assert sp.simplify(diff) == 0, key
+            assert diff == 0, key
 
 
 def test_enumeration_initial_label_distribution():
@@ -335,7 +350,7 @@ def test_enumeration_initial_label_distribution():
 
 def test_enumeration_record_weights_sum_to_one():
     enum = circuit.enumerate_transport(circuit.build_eraser(INT, WP, exact=True))
-    assert sp.simplify(sum(enum.record_distribution.values()) - 1) == 0
+    assert sum(enum.record_distribution.values()) == 1
 
 
 def test_left_marginal_unchanged_by_far_setting():
@@ -347,8 +362,8 @@ def test_left_marginal_unchanged_by_far_setting():
     ml, mo = base.left_marginal(), other.left_marginal()
     assert set(ml) == set(mo)
     for k in ml:
-        assert sp.simplify(ml[k] - mo[k]) == 0
-        assert sp.simplify(ml[k] - R(1, 2)) == 0
+        assert ml[k] == mo[k]
+        assert ml[k] == R(1, 2)
 
 
 def test_record_overlap_distance_half_when_right_acts_first():
@@ -357,7 +372,7 @@ def test_record_overlap_distance_half_when_right_acts_first():
     enum_wp = circuit.enumerate_transport(
         circuit.build_eraser(INT, WP, right_acts_first=True, exact=True))
     dist = circuit.record_overlap_distance(enum_int, enum_wp, arms=("L",))
-    assert sp.simplify(dist - R(1, 2)) == 0
+    assert dist == R(1, 2)
 
 
 def test_record_overlap_distance_zero_when_left_acts_first():
@@ -366,7 +381,7 @@ def test_record_overlap_distance_zero_when_left_acts_first():
     enum_wp = circuit.enumerate_transport(
         circuit.build_eraser(INT, WP, right_acts_first=False, exact=True))
     dist = circuit.record_overlap_distance(enum_int, enum_wp, arms=("L",))
-    assert sp.simplify(dist) == 0
+    assert dist == 0
 
 
 def test_record_overlap_distance_rejects_mixed_modes():

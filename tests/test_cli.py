@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -148,6 +150,50 @@ def test_eraser_setting_flags(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # grid scenarios
+
+
+def test_eraser_analytic_theta_on_the_pi_grid_is_exact(tmp_path, capsys):
+    # pi/8 to 13 digits lies within 1e-12 of the pi-fraction 1/8
+    out = tmp_path / "eighth"
+    code = main(["run", "eraser", "--theta", "0.3926990816987", "--right", "whichpath",
+                 "--out", str(out)])
+    assert code == 0
+    capsys.readouterr()
+    joint = _validate(out / "joint_distribution.json", "joint_distribution")
+    exact = {(e["left"], e["right"]): e["exact"] for e in joint["entries"]}
+    # cos^2(pi/8) / 2 and sin^2(pi/8) / 2
+    assert exact == {
+        ("L1", "R3"): "1/4 - sqrt(2)/8",
+        ("L1", "R4"): "sqrt(2)/8 + 1/4",
+        ("L2", "R3"): "sqrt(2)/8 + 1/4",
+        ("L2", "R4"): "1/4 - sqrt(2)/8",
+    }
+    for e in joint["entries"]:
+        want = 0.25 + (0.25 if e["exact"].startswith("sqrt") else -0.25) * 2 ** 0.5 / 2
+        assert abs(e["probability"] - want) < 1e-15
+
+
+def test_eraser_analytic_theta_off_the_pi_grid_exits_one(tmp_path, capsys):
+    out = tmp_path / "off"
+    code = main(["run", "eraser", "--theta", "0.3", "--right", "whichpath", "--out", str(out)])
+    assert code == 1
+    assert "$.theta" in capsys.readouterr().err
+    assert not (out / "joint_distribution.json").exists()
+    # Monte Carlo takes any angle
+    code = main(["run", "eraser", "--theta", "0.3", "--mode", "montecarlo", "--trials", "100",
+                 "--out", str(tmp_path / "mc")])
+    assert code == 0
+    capsys.readouterr()
+
+
+def test_import_leaves_sympy_unloaded():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    probe = "import sys, qfoundations.cli; print('sympy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_free_packet_scenario_small(tmp_path, capsys):

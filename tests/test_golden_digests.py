@@ -2,7 +2,8 @@
 
 Criterion 11 only proves that one build agrees with itself; these pins make
 a refactor that changes any emitted byte fail loudly.  `manifest.json` is
-left out because it records the output directory.
+left out because it records the output directory.  Every pin runs with
+sympy made unimportable: sympy is a test-only oracle, never a runtime need.
 
 The digests hold for the numpy version recorded in `generated_with`; FFT
 and SIMD rounding may move the last bits of a correct build on another
@@ -69,7 +70,8 @@ def _golden():
         return json.load(fh)
 
 
-def _check(pin, tmp_path, capsys):
+def _check(pin, tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "sympy", None)
     golden = _golden()
     pinned_numpy = golden["generated_with"]["numpy"]
     if np.__version__ != pinned_numpy:
@@ -87,13 +89,13 @@ _GRID = ("double_slit", "free_packet", "harmonic")
 
 
 @pytest.mark.parametrize("scenario", _GRID)
-def test_grid_scenario_bytes_match_golden(scenario, tmp_path, capsys):
-    _check(scenario, tmp_path, capsys)
+def test_grid_scenario_bytes_match_golden(scenario, tmp_path, capsys, monkeypatch):
+    _check(scenario, tmp_path, capsys, monkeypatch)
 
 
 @pytest.mark.parametrize("pin", sorted(set(PINS) - set(_GRID)))
-def test_scenario_bytes_match_golden(pin, tmp_path, capsys):
-    _check(pin, tmp_path, capsys)
+def test_scenario_bytes_match_golden(pin, tmp_path, capsys, monkeypatch):
+    _check(pin, tmp_path, capsys, monkeypatch)
 
 
 def _write(outroot):

@@ -12,11 +12,13 @@ import json
 import math
 from collections import Counter
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import sympy as sp
 
-from qfoundations import circuit, hilbert, inference
+from qfoundations import circuit, exact, hilbert, inference
 
 INT = circuit.INTERFERENCE
 WP = circuit.WHICHPATH
@@ -40,13 +42,18 @@ def test_report_rejects_unknown_verdict_and_mode():
         inference.TestReport("t", 0.0, 0.0, inference.SATISFIED, 0, "exactish")
 
 
-def test_report_serialization_handles_sympy_details():
+def test_report_serialization_handles_exact_details():
     rep = inference.TestReport(
         "t", 0.5, 0.0, inference.VIOLATED, 10, inference.MONTE_CARLO,
-        details={"exact": R(1, 2), "nested": [np.float64(0.25), np.int64(3)]},
+        details={
+            "exact": exact.Cyclotomic.rational(Fraction(1, 2)),
+            "root": 2 * exact.SQRT2,
+            "nested": [np.float64(0.25), np.int64(3)],
+        },
     )
     data = json.loads(rep.to_json())
     assert data["details"]["exact"] == "1/2"
+    assert data["details"]["root"] == "2*sqrt(2)"
     assert data["details"]["nested"] == [0.25, 3]
     assert data["verdict"] == "violated"
 
@@ -75,8 +82,9 @@ def test_wilson_interval_edges_and_validation():
 
 
 def test_total_variation_exact_and_float():
-    a = {"x": R(1, 2), "y": R(1, 2)}
-    b = {"x": R(1, 3), "y": R(2, 3)}
+    q = exact.Cyclotomic.rational
+    a = {"x": q(Fraction(1, 2)), "y": q(Fraction(1, 2))}
+    b = {"x": q(Fraction(1, 3)), "y": q(Fraction(2, 3))}
     assert inference.total_variation(a, b) == R(1, 6)
     assert inference.total_variation(a, a) == 0
     assert inference.total_variation({"x": 1.0}, {"y": 1.0}) == 1.0
@@ -187,9 +195,9 @@ def test_mi_analytic_pre_detection_violated_with_diagnostics():
     assert rep.verdict == inference.VIOLATED
     # full joint records live on disjoint supports (the right-arm record
     # shape differs), so the TV is exactly one
-    assert sp.simplify(rep.details["exact_statistic"] - 1) == 0
+    assert rep.details["exact_statistic"] == 1
     # half the initial measure gets a different left record...
-    assert sp.simplify(rep.details["L_changed_measure_exact"] - R(1, 2)) == 0
+    assert rep.details["L_changed_measure_exact"] == R(1, 2)
     # ...while the left record *marginal* stays identical (no signaling at
     # the record level) and so does the initial configuration law
     assert rep.details["L_record_tv"] < 1e-12
@@ -326,14 +334,15 @@ def test_correlator_law_derived_symbolically():
 
 def test_correlator_values():
     assert abs(inference.correlator(0.3, 0.3) - 1.0) < 1e-12
-    assert inference.correlator(sp.pi / 8, 3 * sp.pi / 8, exact=True) == 0
+    eighth, three_eighths = exact.pi_times(Fraction(1, 8)), exact.pi_times(Fraction(3, 8))
+    assert inference.correlator(eighth, three_eighths, exact=True) == 0
     got = inference.correlator(np.pi / 8, 0.0)
     assert abs(got - math.cos(np.pi / 4)) < 1e-12
 
 
 def test_chsh_value_at_textbook_settings():
-    settings = (sp.pi / 4, 0, sp.pi / 8, 3 * sp.pi / 8)
-    assert sp.simplify(inference.chsh_value(settings, exact=True) - 2 * sp.sqrt(2)) == 0
+    settings = tuple(exact.pi_times(Fraction(k, 8)) for k in (2, 0, 1, 3))
+    assert inference.chsh_value(settings, exact=True) == 2 * exact.SQRT2
     assert abs(inference.chsh_value([np.pi / 4, 0.0, np.pi / 8, 3 * np.pi / 8])
                - 2 * math.sqrt(2)) < 1e-12
 
@@ -364,7 +373,7 @@ def test_chsh_optimize_reaches_tsirelson():
     assert res.s_value == e[6, 10] + e[6, 2] + e[14, 10] - e[14, 2]
     assert res.s_value == float(np.max(inference._chsh_table(e)))
     assert abs(res.s_value - 2 * math.sqrt(2)) < 1e-9
-    assert sp.simplify(res.exact_value - 2 * sp.sqrt(2)) == 0
+    assert res.exact_value == 2 * exact.SQRT2
 
 
 def test_local_models_capped_at_two():
