@@ -13,9 +13,8 @@ from qfoundations import inference
 
 def main():
     print("correlator vs angle difference (left angle fixed at 0):")
-    for k in range(9):
-        tr = k * math.pi / 16
-        e = inference.correlator(0.0, tr)
+    row = inference.correlator_table([0.0], [k * math.pi / 16 for k in range(9)])[0]
+    for k, e in enumerate(row):
         bar = "#" * round(20 * abs(e))
         sign = "+" if e >= 0 else "-"
         print(f"  delta = {k:>2}*pi/16   E = {e:+.3f}  {sign}{bar}")

@@ -14,7 +14,7 @@ WP = circuit.WHICHPATH
 
 
 def show(left, right, right_acts_first=False):
-    circ = circuit.build_eraser(left, right, right_acts_first=right_acts_first, exact=True)
+    circ = circuit.build_eraser(left, right, right_acts_first=right_acts_first)
     dist = circuit.copenhagen_joint_distribution(circ)
     order = "right arm first" if right_acts_first else "left arm first"
     print(f"\nleft={left}, right={right}  ({order})")
@@ -31,9 +31,9 @@ def main():
     print("\nsame distributions with the time order swapped:")
     for settings in [(INT, INT), (INT, WP)]:
         a = circuit.copenhagen_joint_distribution(
-            circuit.build_eraser(*settings, exact=True))
+            circuit.build_eraser(*settings))
         b = circuit.copenhagen_joint_distribution(
-            circuit.build_eraser(*settings, right_acts_first=True, exact=True))
+            circuit.build_eraser(*settings, right_acts_first=True))
         print(f"  {settings}: order-independent = {a == b}")
 
     # and a sampled run agrees with the exact table

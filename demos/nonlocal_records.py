@@ -33,16 +33,16 @@ def main():
     print("  the left record flips with the *right* arm's configuration\n")
 
     enum_int = circuit.enumerate_transport(
-        circuit.build_eraser(INT, INT, right_acts_first=True, exact=True))
+        circuit.build_eraser(INT, INT, right_acts_first=True))
     enum_wp = circuit.enumerate_transport(
-        circuit.build_eraser(INT, WP, right_acts_first=True, exact=True))
+        circuit.build_eraser(INT, WP, right_acts_first=True))
     paired = circuit.record_overlap_distance(enum_int, enum_wp, arms=("L",))
     print(f"measure of hidden values whose left record changes: {paired}")
 
     # swap the time order and the dependence disappears: a record already
     # written cannot react to a later far-side choice
-    early_int = circuit.enumerate_transport(circuit.build_eraser(INT, INT, exact=True))
-    early_wp = circuit.enumerate_transport(circuit.build_eraser(INT, WP, exact=True))
+    early_int = circuit.enumerate_transport(circuit.build_eraser(INT, INT))
+    early_wp = circuit.enumerate_transport(circuit.build_eraser(INT, WP))
     print(f"same measure when the left arm acts first: "
           f"{circuit.record_overlap_distance(early_int, early_wp, arms=('L',))}\n")
 

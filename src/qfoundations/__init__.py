@@ -10,7 +10,6 @@ exact scalars (cyclotomic field elements) of the analytic computations.
 """
 
 from . import circuit, exact, hilbert, inference, pilotwave, schemas, svgplot
-from .cli import main
 from .streams import stream
 
 __version__ = "0.1.0"
@@ -21,7 +20,6 @@ __all__ = [
     "exact",
     "hilbert",
     "inference",
-    "main",
     "pilotwave",
     "schemas",
     "stream",

@@ -34,13 +34,15 @@ Detection reads the actual label and conditions the joint state on it, so
 later transport on the other arm depends on what was detected here - and on
 whether a beam splitter was present here at all.
 
-Modes: float Monte Carlo lives in `sample_bohmian_runs`, which pushes whole
-ensembles through the circuit as arrays (a single configuration is a
-one-row ensemble passed as `hidden`); exact arithmetic lives only in
-`enumerate_transport`, whose analytic claims run on `exact.Cyclotomic`
-scalars (exact circuits take `exact.pi_times` angles, so every amplitude and
-probability lies in a cyclotomic field, where zero tests are exact and signs
-are decided or refused, never guessed).
+Arithmetic: the analytic engine (`evolved_state`,
+`copenhagen_joint_distribution`, `enumerate_transport`,
+`record_overlap_distance`) runs on `exact.Cyclotomic` scalars only.  It
+takes `exact.pi_times` angles, so every amplitude and probability lies in a
+cyclotomic field, where zero tests are exact and signs are decided or
+refused, never guessed; a radian angle raises TypeError.  Floats live only
+in the vectorized Monte Carlo kernel `sample_bohmian_runs`, which pushes
+whole ensembles through the circuit as arrays (a single configuration is a
+one-row ensemble passed as `hidden`) and reads each angle as `float(theta)`.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ __all__ = [
     "INTERFERENCE",
     "WHICHPATH",
     "PATH_LABELS",
+    "FLOAT_SOURCE",
     "CircuitElement",
     "OpticalCircuit",
     "path_space",
@@ -85,6 +88,12 @@ INTERFERENCE = "interference"
 WHICHPATH = "whichpath"
 PATH_LABELS = ("1", "2")
 _FLOAT_PROB_FLOOR = 1e-12
+_QUARTER = ex.pi_times(Fraction(1, 4))
+_R = 1.0 / np.sqrt(2.0)
+# the source state (|11> + |22>)/sqrt(2) in float arithmetic, as a 2x2 table
+# of amplitudes indexed (left label, right label), for the vectorized kernels
+FLOAT_SOURCE = np.array([[_R, 0.0], [0.0, _R]], dtype=np.complex128)
+FLOAT_SOURCE.setflags(write=False)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +106,6 @@ class CircuitElement:
     arm: str  # 'L' | 'R'
     kind: str  # 'beam_splitter' | 'whichpath_detector' | 'erasure_detector'
     theta: object = None
-    phase: object = 0
 
 
 @dataclass(frozen=True)
@@ -105,7 +113,6 @@ class OpticalCircuit:
     settings: tuple[str, str]  # (left, right)
     elements: tuple[CircuitElement, ...]
     right_acts_first: bool
-    exact: bool
 
     def __post_init__(self):
         layers = [e.layer for e in self.elements]
@@ -156,13 +163,12 @@ def build_eraser(
     theta_left=None,
     theta_right=None,
     right_acts_first: bool = False,
-    exact: bool = False,
 ) -> OpticalCircuit:
     """Two-arm eraser circuit; interference arms get a beam splitter before
     their terminal detector, which-path arms only the detector.
 
-    The angles default to pi/4; an exact circuit takes them as
-    `exact.pi_times` angles, a float circuit as radians (or those angles).
+    The angles default to `exact.pi_times(1/4)`.  The analytic engine takes
+    only `exact.pi_times` angles; the Monte Carlo sampler also takes radians.
 
     Layer times honor `right_acts_first`: the full right arm acts before the
     left one when set, else the other way around.  Each arm owns a fixed pair
@@ -173,13 +179,10 @@ def build_eraser(
     for setting in (left, right):
         if setting not in (INTERFERENCE, WHICHPATH):
             raise ValueError(f"unknown setting {setting!r}")
-    quarter = ex.pi_times(Fraction(1, 4)) if exact else np.pi / 4
     thetas = {
-        "L": theta_left if theta_left is not None else quarter,
-        "R": theta_right if theta_right is not None else quarter,
+        "L": theta_left if theta_left is not None else _QUARTER,
+        "R": theta_right if theta_right is not None else _QUARTER,
     }
-    if exact and not all(isinstance(t, ex.Angle) for t in thetas.values()):
-        raise TypeError("an exact circuit takes exact.pi_times angles, not radians")
     settings = {"L": left, "R": right}
     order = ("R", "L") if right_acts_first else ("L", "R")
     elements = []
@@ -190,7 +193,7 @@ def build_eraser(
             elements.append(CircuitElement(base + 1, arm, "erasure_detector"))
         else:
             elements.append(CircuitElement(base, arm, "whichpath_detector"))
-    return OpticalCircuit((left, right), tuple(elements), right_acts_first, exact)
+    return OpticalCircuit((left, right), tuple(elements), right_acts_first)
 
 
 # ---------------------------------------------------------------------------
@@ -205,58 +208,50 @@ def joint_space() -> hilbert.HilbertSpace:
     return path_space().tensor(path_space())
 
 
-def initial_state(exact: bool = False) -> hilbert.StateVector:
-    """(|11> + |22>)/sqrt(2) on the joint path space."""
-    if exact:
-        r = ex.SQRT2 / 2
-        amps = np.array([r, ex.ZERO, ex.ZERO, r], dtype=object)
-    else:
-        r = 1.0 / np.sqrt(2.0)
-        amps = np.array([r, 0.0, 0.0, r], dtype=np.complex128)
-    return hilbert.StateVector(joint_space(), amps)
+def initial_state() -> hilbert.StateVector:
+    """(|11> + |22>)/sqrt(2) on the joint path space, exactly."""
+    r = ex.SQRT2 / 2
+    return hilbert.StateVector(joint_space(), np.array([r, ex.ZERO, ex.ZERO, r], dtype=object))
 
 
-def beam_splitter_matrix(theta, phase=0, exact: bool = False) -> np.ndarray:
+def beam_splitter_matrix(theta) -> np.ndarray:
     """2x2 action on (|1>, |2>) amplitude columns; see the module docstring.
 
-    Exact matrices take `exact.pi_times` angles for theta and a nonzero phase.
+    Exact entries for an `exact.Angle`, complex floats for radians.
     """
-    if exact:
+    if isinstance(theta, ex.Angle):
         c, s = theta.cos(), theta.sin()
-        ph = phase.exp_i() if phase != 0 else ex.ONE
-        return np.array([[c, s * ph], [s, -c * ph]], dtype=object)
+        return np.array([[c, s], [s, -c]], dtype=object)
     c, s = np.cos(float(theta)), np.sin(float(theta))
-    ph = np.exp(1j * float(phase)) if phase else 1.0
-    return np.array([[c, s * ph], [s, -c * ph]], dtype=np.complex128)
+    return np.array([[c, s], [s, -c]], dtype=np.complex128)
 
 
-def _identity2(exact: bool) -> np.ndarray:
-    if exact:
-        return np.array([[ex.ONE, ex.ZERO], [ex.ZERO, ex.ONE]], dtype=object)
-    return np.eye(2, dtype=np.complex128)
+def _joint_unitary(b: np.ndarray, arm: str) -> hilbert.UnitaryMap:
+    """A one-arm 2x2 matrix lifted to the joint path space."""
+    eye = np.eye(2, dtype=b.dtype)
+    return hilbert.UnitaryMap(np.kron(b, eye) if arm == "L" else np.kron(eye, b))
 
 
-def _joint_unitary(el: CircuitElement, exact: bool) -> hilbert.UnitaryMap:
-    b = beam_splitter_matrix(el.theta, el.phase, exact=exact)
-    eye = _identity2(exact)
-    m = np.kron(b, eye) if el.arm == "L" else np.kron(eye, b)
-    return hilbert.UnitaryMap(m)
+def _exact_beam_splitter(el: CircuitElement) -> np.ndarray:
+    """The analytic engine's beam-splitter matrix; it refuses radians."""
+    if not isinstance(el.theta, ex.Angle):
+        raise TypeError(
+            f"the analytic engine takes exact.pi_times angles, not the radian angle {el.theta!r}"
+        )
+    return beam_splitter_matrix(el.theta)
 
 
 def evolved_state(circ: OpticalCircuit) -> hilbert.StateVector:
     """Joint state after every beam-splitter layer (detectors read this)."""
-    psi = initial_state(exact=circ.exact)
+    psi = initial_state()
     for el in circ.elements:
         if el.kind == "beam_splitter":
-            psi = hilbert.evolve(psi, _joint_unitary(el, circ.exact))
+            psi = hilbert.evolve(psi, _joint_unitary(_exact_beam_splitter(el), el.arm))
     return psi
 
 
-def _prob(z, exact: bool):
-    if exact:
-        return z * z.conjugate()
-    zz = complex(z)
-    return zz.real * zz.real + zz.imag * zz.imag
+def _prob(z):
+    return z * z.conjugate()
 
 
 def copenhagen_joint_distribution(circ: OpticalCircuit) -> dict:
@@ -275,35 +270,25 @@ def copenhagen_joint_distribution(circ: OpticalCircuit) -> dict:
     for l, r in itertools.product(range(2), range(2)):
         name_l = f"L{_detector_number(kinds['L'], l)}"
         name_r = f"R{_detector_number(kinds['R'], r)}"
-        out[(name_l, name_r)] = _prob(amps[l, r], circ.exact)
-    total = sum(out.values())
-    if circ.exact:
-        if total != 1:
-            raise RuntimeError("joint distribution must sum to 1 exactly")
-    elif not abs(float(total) - 1.0) < 1e-12:
-        raise RuntimeError(f"joint distribution sums to {float(total)!r}, not 1")
+        out[(name_l, name_r)] = _prob(amps[l, r])
+    if sum(out.values()) != 1:
+        raise RuntimeError("joint distribution must sum to 1 exactly")
     return dict(sorted(out.items()))
 
 
 # ---------------------------------------------------------------------------
-# monotone transport helpers for the cell enumeration (exact or float)
+# monotone transport helpers for the exact cell enumeration
 
 
-def _is_zero(v, exact: bool) -> bool:
-    if exact:
-        return v == 0
-    return abs(v) <= _FLOAT_PROB_FLOOR
-
-
-def _conditional(state: list, arm: int, other_label: int, exact: bool) -> list:
+def _conditional(state: list, arm: int, other_label: int) -> list:
     """This arm's label probabilities given the other arm's actual label."""
     if arm == 0:
         amps = [state[0][other_label], state[1][other_label]]
     else:
         amps = [state[other_label][0], state[other_label][1]]
-    ps = [_prob(a, exact) for a in amps]
+    ps = [_prob(a) for a in amps]
     tot = ps[0] + ps[1]
-    if _is_zero(tot, exact):
+    if tot == 0:
         raise RuntimeError("conditional state has zero norm; transport is inconsistent")
     return [p / tot for p in ps]
 
@@ -319,7 +304,7 @@ def _apply_bs(state: list, arm: int, b: np.ndarray) -> list:
 
 
 # ---------------------------------------------------------------------------
-# vectorized Monte Carlo sampling (float mode)
+# vectorized Monte Carlo sampling (float arithmetic)
 
 
 @dataclass(frozen=True)
@@ -388,14 +373,11 @@ def sample_bohmian_runs(
     initial configurations across different settings: label indices in
     {0, 1} and coordinates in [0, 1), one row per run; n is then ignored.
     A configuration the source state gives zero probability raises
-    RuntimeError.
+    RuntimeError.  Each beam-splitter angle is read as `float(theta)`.
     """
-    if circ.exact:
-        raise ValueError("vectorized sampling runs in float mode")
     if hidden is None:
         rng = stream(seed, stream_index)
-        psi = initial_state().amplitudes
-        probs = np.abs(psi) ** 2
+        probs = np.abs(FLOAT_SOURCE.ravel()) ** 2
         cum = np.cumsum(probs)
         cum[-1] = 1.0
         cells = np.searchsorted(cum, rng.random(n), side="right")
@@ -413,8 +395,7 @@ def sample_bohmian_runs(
             raise ValueError("hidden coordinates outside [0, 1)")
         n = labels0.shape[0]
 
-    psi0 = initial_state().amplitudes.reshape(2, 2)
-    state = np.broadcast_to(psi0, (n, 2, 2)).copy()
+    state = np.broadcast_to(FLOAT_SOURCE, (n, 2, 2)).copy()
     labels = labels0.copy()
     xs = coords0.copy()
     rows = np.arange(n)
@@ -440,7 +421,7 @@ def sample_bohmian_runs(
             if not np.all(own > _FLOAT_PROB_FLOOR):
                 raise RuntimeError("actual label at zero probability")
             c = np.where(labels[:, a] == 1, pb[:, 0], 0.0) + xs[:, a] * own
-            b = beam_splitter_matrix(el.theta, el.phase)
+            b = beam_splitter_matrix(float(el.theta))
             if a == 0:
                 state = np.einsum("ij,njk->nik", b, state)
             else:
@@ -517,11 +498,11 @@ class TransportEnumeration:
         return dict(sorted(out.items()))
 
     def initial_label_distribution(self) -> dict:
-        psi0 = initial_state(exact=self.circuit.exact).amplitudes.reshape(2, 2)
+        psi0 = initial_state().amplitudes.reshape(2, 2)
         out: dict = {}
         for cell in self.cells:
             w = (
-                _prob(psi0[cell.labels0[0]][cell.labels0[1]], self.circuit.exact)
+                _prob(psi0[cell.labels0[0]][cell.labels0[1]])
                 * _interval_len(cell.init[0])
                 * _interval_len(cell.init[1])
             )
@@ -538,18 +519,18 @@ def enumerate_transport(circ: OpticalCircuit) -> TransportEnumeration:
 
     Cells are (initial joint label, coordinate sub-rectangle) pieces; the
     transport map is affine on each piece, so finitely many cells capture the
-    whole dynamics and all measures are computed in closed form (exactly when
-    the circuit is exact).
+    whole dynamics and all measures are computed exactly, in closed form.
     """
-    exact = circ.exact
-    one = ex.ONE if exact else 1.0
-    zero = ex.ZERO if exact else 0.0
-    psi0 = initial_state(exact=exact).amplitudes.reshape(2, 2)
+    one, zero = ex.ONE, ex.ZERO
+    psi_ref = initial_state()
+    psi0 = psi_ref.amplitudes.reshape(2, 2)
+    label_weights = {
+        (l, r): _prob(psi0[l][r]) for l, r in itertools.product(range(2), range(2))
+    }
 
     cells: list[_Cell] = []
-    for l, r in itertools.product(range(2), range(2)):
-        w = _prob(psi0[l][r], exact)
-        if _is_zero(w, exact):
+    for (l, r), w in label_weights.items():
+        if w == 0:
             continue
         cells.append(
             _Cell(
@@ -562,10 +543,6 @@ def enumerate_transport(circ: OpticalCircuit) -> TransportEnumeration:
                 outcome={},
             )
         )
-
-    label_weights = {
-        (l, r): _prob(psi0[l][r], exact) for l, r in itertools.product(range(2), range(2))
-    }
 
     def cell_measure(cell: _Cell):
         return (
@@ -580,13 +557,9 @@ def enumerate_transport(circ: OpticalCircuit) -> TransportEnumeration:
             out[cell.labels] = out.get(cell.labels, zero) + cell_measure(cell)
         return {k: v for k, v in sorted(out.items())}
 
-    psi_ref = initial_state(exact=exact)
-
     def reference_distribution():
         amps = psi_ref.amplitudes.reshape(2, 2)
-        return {
-            (l, r): _prob(amps[l, r], exact) for l, r in itertools.product(range(2), range(2))
-        }
+        return {(l, r): _prob(amps[l, r]) for l, r in itertools.product(range(2), range(2))}
 
     layer_dists = [(0, label_distribution())]
     ref_dists = [(0, reference_distribution())]
@@ -594,21 +567,21 @@ def enumerate_transport(circ: OpticalCircuit) -> TransportEnumeration:
     for el in circ.elements:
         arm = 0 if el.arm == "L" else 1
         if el.kind == "beam_splitter":
-            psi_ref = hilbert.evolve(psi_ref, _joint_unitary(el, exact))
-            b = beam_splitter_matrix(el.theta, el.phase, exact=exact)
+            b = _exact_beam_splitter(el)
+            psi_ref = hilbert.evolve(psi_ref, _joint_unitary(b, el.arm))
             new_cells = []
             for cell in cells:
                 other = cell.labels[1 - arm]
-                before = _conditional(cell.state, arm, other, exact)
+                before = _conditional(cell.state, arm, other)
                 own = before[cell.labels[arm]]
-                if _is_zero(own, exact):
+                if own == 0:
                     raise RuntimeError("cell label carries zero conditional probability")
                 xlo, xhi = cell.cur[arm]
                 base = before[0] if cell.labels[arm] == 1 else zero
                 clo = base + xlo * own
                 chi = base + xhi * own
                 new_state = _apply_bs(cell.state, arm, b)
-                after = _conditional(new_state, arm, other, exact)
+                after = _conditional(new_state, arm, other)
                 bounds = [zero, after[0], one]
                 for k in range(2):
                     plo = clo if bounds[k] < clo else bounds[k]
@@ -690,18 +663,15 @@ def record_overlap_distance(
     enum_b: TransportEnumeration,
     arms: Sequence[str] = ("L", "R"),
 ):
-    """Total variation distance between the two (hidden value, record) laws.
+    """Exact total variation distance between the two (hidden value, record) laws.
 
     Both enumerations push the same equilibrium prior through deterministic
     maps, so the distance equals the prior measure of initial configurations
     whose records differ; computed by intersecting the two cell partitions.
     """
-    exact = enum_a.circuit.exact
-    if exact != enum_b.circuit.exact:
-        raise ValueError("cannot mix exact and float enumerations")
     armsel = tuple("LR".index(a) for a in arms)
-    psi0 = initial_state(exact=exact).amplitudes.reshape(2, 2)
-    agree = ex.ZERO if exact else 0.0
+    psi0 = initial_state().amplitudes.reshape(2, 2)
+    agree = ex.ZERO
     for ca in enum_a.cells:
         for cb in enum_b.cells:
             if ca.labels0 != cb.labels0:
@@ -711,9 +681,8 @@ def record_overlap_distance(
             inter = _rect_intersection_area(ca.init, cb.init)
             if inter is None:
                 continue
-            agree = agree + _prob(psi0[ca.labels0[0]][ca.labels0[1]], exact) * inter
-    dist = 1 - agree
-    return dist if exact else float(dist)
+            agree = agree + _prob(psi0[ca.labels0[0]][ca.labels0[1]]) * inter
+    return 1 - agree
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,7 @@ def _joint_distribution_payload(circ, dist, mode, n=None, counts=None) -> dict:
     entries = []
     for (left, right), p in sorted(dist.items()):
         entry = {"left": left, "right": right, "probability": float(p)}
-        if mode == "analytic" and circ.exact:
+        if mode == "analytic":
             entry["exact"] = str(p)
         if counts is not None:
             entry["count"] = int(counts.get((left, right), 0))
@@ -322,7 +322,6 @@ def _run_eraser(cfg: dict, outdir: str) -> tuple[list[str], bool]:
         theta_left=theta,
         theta_right=theta,
         right_acts_first=cfg["right_acts_first"],
-        exact=analytic,
     )
 
     if analytic:
@@ -523,6 +522,12 @@ def _run_repeatability(cfg: dict, outdir: str) -> tuple[list[str], bool]:
 
 
 def _chsh_payload(cfg: dict) -> dict:
+    montecarlo = cfg["mode"] == "montecarlo"
+    if montecarlo and cfg["trials"] < 2:
+        raise _fail_usage(
+            f"config error at $.trials: {cfg['trials']} is too few; the Monte-Carlo "
+            "standard error needs a sample variance, so at least 2 trials per setting"
+        )
     step = (np.pi / 2) / cfg["grid_step_count"]
     result = inference.chsh_optimize(step=step)
     models = inference.local_deterministic_models()
@@ -538,9 +543,9 @@ def _chsh_payload(cfg: dict) -> dict:
         "local_models": len(models),
         "monte_carlo": None,
     }
-    if cfg["mode"] == "montecarlo":
+    if montecarlo:
         n = cfg["trials"]
-        t1, t2, f1, f2 = result.settings
+        t1, t2, f1, f2 = result.angles
         estimate = 0.0
         variance = 0.0
         for k, (tl, tr, sign) in enumerate(
@@ -602,9 +607,7 @@ def _transport_equivariance_report() -> inference.TestReport:
     for left in (circuit.INTERFERENCE, circuit.WHICHPATH):
         for right in (circuit.INTERFERENCE, circuit.WHICHPATH):
             for right_first in (False, True):
-                circ = circuit.build_eraser(
-                    left, right, right_acts_first=right_first, exact=True
-                )
+                circ = circuit.build_eraser(left, right, right_acts_first=right_first)
                 enum = circuit.enumerate_transport(circ)
                 for (layer_a, dist), (layer_b, ref) in zip(
                     enum.layer_distributions, enum.reference_distributions
@@ -662,14 +665,15 @@ def _setting_dependence_report(seed: int, n: int = 200) -> inference.TestReport:
 def _purity_report() -> inference.TestReport:
     from . import hilbert
 
-    psi = circuit.initial_state()
+    # float arithmetic: the purity deviations reported are rounding-level
+    psi = hilbert.StateVector(circuit.joint_space(), circuit.FLOAT_SOURCE.ravel())
     rho = hilbert.DensityMatrix.from_state(psi)
     global_before = hilbert.purity(rho)
-    circ = circuit.build_eraser(circuit.INTERFERENCE, circuit.INTERFERENCE)
+    # the both-arms-interfering eraser's beam splitters, left arm first
+    b = circuit.beam_splitter_matrix(np.pi / 4)
     evolved = rho
-    for el in circ.elements:
-        if el.kind == "beam_splitter":
-            evolved = hilbert.evolve(evolved, circuit._joint_unitary(el, exact=False))
+    for arm in "LR":
+        evolved = hilbert.evolve(evolved, circuit._joint_unitary(b, arm))
     global_after = hilbert.purity(evolved)
     global_dev = abs(global_after - global_before)
 
@@ -754,8 +758,8 @@ def _run_claims(cfg: dict, outdir: str) -> tuple[list[str], bool]:
     claims: list = []
 
     # exact eraser distributions, used by several claims below
-    circ_ii = circuit.build_eraser(circuit.INTERFERENCE, circuit.INTERFERENCE, exact=True)
-    circ_iw = circuit.build_eraser(circuit.INTERFERENCE, circuit.WHICHPATH, exact=True)
+    circ_ii = circuit.build_eraser(circuit.INTERFERENCE, circuit.INTERFERENCE)
+    circ_iw = circuit.build_eraser(circuit.INTERFERENCE, circuit.WHICHPATH)
     dist_ii = circuit.copenhagen_joint_distribution(circ_ii)
     dist_iw = circuit.copenhagen_joint_distribution(circ_iw)
 
@@ -766,10 +770,8 @@ def _run_claims(cfg: dict, outdir: str) -> tuple[list[str], bool]:
         inference.local_causality_test(dist_ii, "R1", "L1"),
     )
 
-    circ_ii_f = circuit.build_eraser(circuit.INTERFERENCE, circuit.INTERFERENCE)
-    circ_iw_f = circuit.build_eraser(circuit.INTERFERENCE, circuit.WHICHPATH)
-    counts_ii = _sample_eraser(circ_ii_f, trials, seed, workers, _IDX_ERASER_A).outcome_counts()
-    counts_iw = _sample_eraser(circ_iw_f, trials, seed, workers, _IDX_ERASER_B).outcome_counts()
+    counts_ii = _sample_eraser(circ_ii, trials, seed, workers, _IDX_ERASER_A).outcome_counts()
+    counts_iw = _sample_eraser(circ_iw, trials, seed, workers, _IDX_ERASER_B).outcome_counts()
     _claim(
         claims,
         "local_causality_eraser_monte_carlo",
@@ -780,7 +782,7 @@ def _run_claims(cfg: dict, outdir: str) -> tuple[list[str], bool]:
         claims,
         "local_causality_mwi_records",
         inference.VIOLATED,
-        inference.local_causality_test(inference.mwi_joint_distribution(circ_ii_f), "R1", "L1"),
+        inference.local_causality_test(inference.mwi_joint_distribution(circ_ii), "R1", "L1"),
     )
     _claim(
         claims,
@@ -811,14 +813,10 @@ def _run_claims(cfg: dict, outdir: str) -> tuple[list[str], bool]:
     )
 
     enum_int = circuit.enumerate_transport(
-        circuit.build_eraser(
-            circuit.INTERFERENCE, circuit.INTERFERENCE, right_acts_first=True, exact=True
-        )
+        circuit.build_eraser(circuit.INTERFERENCE, circuit.INTERFERENCE, right_acts_first=True)
     )
     enum_wp = circuit.enumerate_transport(
-        circuit.build_eraser(
-            circuit.INTERFERENCE, circuit.WHICHPATH, right_acts_first=True, exact=True
-        )
+        circuit.build_eraser(circuit.INTERFERENCE, circuit.WHICHPATH, right_acts_first=True)
     )
     groups = {
         ("interference", "interference"): enum_int,

@@ -37,7 +37,6 @@ __all__ = [
     "PROBABILITY_FLOOR",
     "DENSITY_EIGENVALUE_FLOOR",
     "ImpossibleOutcomeError",
-    "BasisLabel",
     "HilbertSpace",
     "StateVector",
     "UnitaryMap",
@@ -80,14 +79,6 @@ def _norm_sq(amplitudes: np.ndarray) -> float:
             acc = term if acc is None else acc + term
         return float(acc)
     return float(np.vdot(amplitudes, amplitudes).real)
-
-
-@dataclass(frozen=True)
-class BasisLabel:
-    """Name and position of one basis vector."""
-
-    name: str | tuple[str, ...]
-    index: int
 
 
 class HilbertSpace:
@@ -140,10 +131,6 @@ class HilbertSpace:
         if len(self._factors) == 1:
             return self._factors[0]
         return tuple(itertools.product(*self._factors))
-
-    @property
-    def basis_labels(self) -> tuple[BasisLabel, ...]:
-        return tuple(BasisLabel(name, i) for i, name in enumerate(self.labels))
 
     def index(self, label) -> int:
         if len(self._factors) > 1 and isinstance(label, (list, tuple)):

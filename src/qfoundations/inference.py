@@ -7,13 +7,14 @@ no-signaling (do far settings move near marginals), repeatability (does an
 immediate second measurement agree), branch/collapse agreement (do branch
 weights match collapse frequencies), and the CHSH combination of
 correlators.  A test runs in one of two modes: analytic, where the tables
-come from exact enumeration or closed-form linear algebra (exact tables hold
-`exact.Cyclotomic` scalars) and verdicts rest on exact zero tests, and
-monte-carlo, where they are `collections.Counter`
-tables of run counts keyed like the analytic tables (n is the sum of the
-counts) and verdicts rest on 99% confidence intervals.  A monte-carlo
-verdict is never "violated" or "satisfied" while the interval straddles the
-threshold; such runs come back "inconclusive".
+are exact probabilities (`exact.Cyclotomic` scalars from the circuit's
+analytic engine) and verdicts rest on exact zero tests, and monte-carlo,
+where they are `collections.Counter` tables of run counts keyed like the
+analytic tables (n is the sum of the counts) and verdicts rest on 99%
+confidence intervals.  A monte-carlo verdict is never "violated" or
+"satisfied" while the interval straddles the threshold; such runs come back
+"inconclusive".  Float probability tables (the branch weights of
+`mwi_joint_distribution`) are tested against a 1e-12 zero tolerance.
 """
 
 from __future__ import annotations
@@ -280,9 +281,7 @@ def mwi_joint_distribution(circ: circuit.OpticalCircuit) -> dict:
     agreement with `copenhagen_joint_distribution` is a computed fact, not a
     restatement.
     """
-    psi = circuit.evolved_state(circ)
-    if psi.is_exact:
-        psi = psi.to_float()
+    psi = circuit.evolved_state(circ).to_float()
     observables = []
     for arm_idx in (0, 1):
         groups = []
@@ -308,7 +307,6 @@ def mwi_joint_distribution(circ: circuit.OpticalCircuit) -> dict:
 def _mi_analytic(groups: Mapping, stage: str) -> TestReport:
     keys = list(groups)
     enums = [groups[k] for k in keys]
-    exact = all(e.circuit.exact for e in enums)
 
     if stage == "initial":
         dists = [e.initial_label_distribution() for e in enums]
@@ -317,16 +315,19 @@ def _mi_analytic(groups: Mapping, stage: str) -> TestReport:
         dists = [e.record_distribution for e in enums]
         note = "records compared before any terminal detection entry"
 
-    stat = ex.ZERO if exact else 0.0
+    stat = ex.ZERO
     for i in range(len(dists)):
         for j in range(i + 1, len(dists)):
             tv = total_variation(dists[i], dists[j])
             if tv > stat:
                 stat = tv
 
-    details: dict = {"settings": [str(k) for k in keys], "stage": stage, "note": note}
-    if exact:
-        details["exact_statistic"] = stat
+    details: dict = {
+        "settings": [str(k) for k in keys],
+        "stage": stage,
+        "note": note,
+        "exact_statistic": stat,
+    }
     if stage != "initial" and len(enums) == 2:
         # paired diagnostics: what fraction of initial configurations gets a
         # different record, overall and on the arm whose setting is shared
@@ -342,21 +343,18 @@ def _mi_analytic(groups: Mapping, stage: str) -> TestReport:
             )
             details[f"{arm}_changed_measure"] = float(paired)
             details[f"{arm}_record_tv"] = float(armmarg)
-            if exact:
-                details[f"{arm}_changed_measure_exact"] = paired
+            details[f"{arm}_changed_measure_exact"] = paired
         init_tv = total_variation(
             enums[0].initial_label_distribution(), enums[1].initial_label_distribution()
         )
         details["initial_config_tv"] = float(init_tv)
-        if exact:
-            details["initial_config_tv_exact"] = init_tv
+        details["initial_config_tv_exact"] = init_tv
 
-    violated = _nonzero(stat, exact)
     return TestReport(
         test="measurement_independence",
         statistic=abs(float(stat)),
         threshold=0.0,
-        verdict=VIOLATED if violated else SATISFIED,
+        verdict=VIOLATED if stat != 0 else SATISFIED,
         n=0,
         mode=ANALYTIC,
         details=details,
@@ -375,12 +373,11 @@ def _arm_record_marginal(enum: circuit.TransportEnumeration, arm: str) -> dict:
 def measurement_independence_test(groups: Mapping, stage: str = "pre_detection") -> TestReport:
     """TV distance between hidden-record laws across measurement settings.
 
-    `groups` maps a setting key to either a TransportEnumeration (analytic;
-    exact when the enumerations are exact) or a Counter of runs per hashable
-    hidden record (monte-carlo).  `stage` selects what is compared:
-    "pre_detection" takes the per-run path records (initial labels plus every
-    beam-splitter transit, detector readings excluded), "initial" only the
-    t=0 configuration law.
+    `groups` maps a setting key to either a TransportEnumeration (analytic,
+    exact) or a Counter of runs per hashable hidden record (monte-carlo).
+    `stage` selects what is compared: "pre_detection" takes the per-run path
+    records (initial labels plus every beam-splitter transit, detector
+    readings excluded), "initial" only the t=0 configuration law.
     """
     if len(groups) < 2:
         raise ValueError("need records under at least two settings")
@@ -526,12 +523,12 @@ def no_signaling_test(groups: Mapping, side: str = "left") -> TestReport:
 def correlator_table(thetas_left, thetas_right) -> np.ndarray:
     """E for every (theta_L, theta_R) pair at once, shape (len(L), len(R)).
 
-    Each entry is the Born table of the both-arms-interfering eraser: the
-    source state from `circuit.initial_state` with one
-    `circuit.beam_splitter_matrix` per arm, in the same float arithmetic
-    as `circuit.copenhagen_joint_distribution`.
+    Each entry is the Born table of the both-arms-interfering eraser, in
+    float arithmetic: the source state `circuit.FLOAT_SOURCE` with one
+    `circuit.beam_splitter_matrix` per arm, angles in radians.  This is the
+    float correlator; `correlator` is the exact one.
     """
-    psi0 = circuit.initial_state().amplitudes.reshape(2, 2)
+    psi0 = circuit.FLOAT_SOURCE
     b_left = np.array([circuit.beam_splitter_matrix(t) for t in thetas_left])
     b_right = np.array([circuit.beam_splitter_matrix(t) for t in thetas_right])
     amps = np.einsum("aij,jk,blk->abil", b_left, psi0, b_right)
@@ -540,37 +537,29 @@ def correlator_table(thetas_left, thetas_right) -> np.ndarray:
     return ((p[..., 1, 1] - p[..., 1, 0]) - p[..., 0, 1]) + p[..., 0, 0]
 
 
-def correlator(theta_left, theta_right, exact: bool = False):
-    """E(theta_L, theta_R) with +1 on the sum-port detector, -1 on the
+def correlator(theta_left, theta_right):
+    """Exact E(theta_L, theta_R) with +1 on the sum-port detector, -1 on the
     difference-port detector, both arms interfering.
 
-    The float value is one entry of `correlator_table`; the exact value
-    comes from an exact eraser circuit and takes `exact.pi_times` angles.
+    Takes `exact.pi_times` angles; `correlator_table` gives float values for
+    radians.
     """
-    if not exact:
-        return float(correlator_table([theta_left], [theta_right])[0, 0])
     circ = circuit.build_eraser(
         circuit.INTERFERENCE,
         circuit.INTERFERENCE,
         theta_left=theta_left,
         theta_right=theta_right,
-        exact=True,
     )
     dist = circuit.copenhagen_joint_distribution(circ)
     signs = {"1": -1, "2": 1}
     return sum(signs[l[-1]] * signs[r[-1]] * p for (l, r), p in dist.items())
 
 
-def chsh_value(settings: Sequence, exact: bool = False):
-    """S = E(t1,f1) + E(t1,f2) + E(t2,f1) - E(t2,f2)."""
+def chsh_value(settings: Sequence):
+    """Exact S = E(t1,f1) + E(t1,f2) + E(t2,f1) - E(t2,f2) at `exact.pi_times`
+    angles."""
     t1, t2, f1, f2 = settings
-    s = (
-        correlator(t1, f1, exact)
-        + correlator(t1, f2, exact)
-        + correlator(t2, f1, exact)
-        - correlator(t2, f2, exact)
-    )
-    return s if exact else float(s)
+    return correlator(t1, f1) + correlator(t1, f2) + correlator(t2, f1) - correlator(t2, f2)
 
 
 def _chsh_table(e: np.ndarray) -> np.ndarray:
@@ -586,8 +575,9 @@ def _chsh_table(e: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class CHSHResult:
     s_value: float
-    settings: tuple[float, float, float, float]
+    settings: tuple[float, float, float, float]  # the grid angles, in radians
     exact_value: object
+    angles: tuple  # the same settings as `exact.pi_times` angles
 
 
 def chsh_optimize(step: float = np.pi / 32) -> CHSHResult:
@@ -601,8 +591,8 @@ def chsh_optimize(step: float = np.pi / 32) -> CHSHResult:
     grid = np.arange(0.0, np.pi / 2 + step / 2, step)
     s = _chsh_table(correlator_table(grid, grid))
     idx = np.unravel_index(int(np.argmax(s)), s.shape)
-    exact_value = chsh_value([ex.pi_times(frac * int(k)) for k in idx], exact=True)
-    return CHSHResult(float(s[idx]), tuple(float(grid[k]) for k in idx), exact_value)
+    angles = tuple(ex.pi_times(frac * int(k)) for k in idx)
+    return CHSHResult(float(s[idx]), tuple(float(grid[k]) for k in idx), chsh_value(angles), angles)
 
 
 @dataclass(frozen=True)

@@ -304,6 +304,20 @@ def _check_dt(grid: GridSpec, params: PhysicsParams, vgrid: np.ndarray, dt: floa
         raise ValueError(f"dt = {dt} exceeds the potential stability bound {0.1 / vmax:.6e}")
 
 
+def _strang_step(grid: GridSpec, params: PhysicsParams, vgrid: np.ndarray, h: float):
+    """One Strang splitting step of size h (half kick, drift, half kick), as a
+    function of the grid values."""
+    exp_v_half = np.exp(-0.5j * h * vgrid)
+    exp_k = np.exp(-1j * h * _kinetic_grid(grid, params.masses))
+
+    def step(values: np.ndarray) -> np.ndarray:
+        v = exp_v_half * values
+        v = np.fft.ifftn(exp_k * np.fft.fftn(v))
+        return exp_v_half * v
+
+    return step
+
+
 def step_schrodinger(
     psi: GridWavefunction, params: PhysicsParams, dt: float, steps: int = 1
 ) -> GridWavefunction:
@@ -311,13 +325,10 @@ def step_schrodinger(
     grid = psi.grid
     vgrid = params.potential.values(grid, params.masses)
     _check_dt(grid, params, vgrid, dt)
-    exp_v_half = np.exp(-0.5j * dt * vgrid)
-    exp_k = np.exp(-1j * dt * _kinetic_grid(grid, params.masses))
-    v = psi.values.copy()
+    step = _strang_step(grid, params, vgrid, dt)
+    v = psi.values
     for _ in range(steps):
-        v = exp_v_half * v
-        v = np.fft.ifftn(exp_k * np.fft.fftn(v))
-        v = exp_v_half * v
+        v = step(v)
     return GridWavefunction(grid, v, time=psi.time + dt * steps)
 
 
@@ -478,14 +489,7 @@ def integrate_trajectories(
     snaps = [q.copy()]
     wfs = [psi] if keep_wavefunctions else []
 
-    exp_v_half = np.exp(-0.25j * dt * vgrid)  # half kick of a dt/2 substep
-    exp_k_half = np.exp(-0.5j * dt * _kinetic_grid(grid, params.masses))
-
-    def half_step(values: np.ndarray) -> np.ndarray:
-        v = exp_v_half * values
-        v = np.fft.ifftn(exp_k_half * np.fft.fftn(v))
-        return exp_v_half * v
-
+    half_step = _strang_step(grid, params, vgrid, dt / 2)
     cur = psi.values.copy()
     fields_t = _flow_fields(psi, params)
     for step in range(1, steps + 1):

@@ -27,10 +27,10 @@ def _done(number, text):
 
 def test_criterion_01_eraser_correlations():
     t0 = time.perf_counter()
-    both = circuit.copenhagen_joint_distribution(circuit.build_eraser(INT, INT, exact=True))
+    both = circuit.copenhagen_joint_distribution(circuit.build_eraser(INT, INT))
     assert both == {("L1", "R1"): R(1, 2), ("L2", "R2"): R(1, 2),
                     ("L1", "R2"): 0, ("L2", "R1"): 0}
-    mixed = circuit.copenhagen_joint_distribution(circuit.build_eraser(INT, WP, exact=True))
+    mixed = circuit.copenhagen_joint_distribution(circuit.build_eraser(INT, WP))
     assert mixed == {(l, r): R(1, 4) for l in ("L1", "L2") for r in ("R3", "R4")}
 
     n = 100_000
@@ -51,7 +51,7 @@ def test_criterion_01_eraser_correlations():
 
 def test_criterion_02_local_causality_vs_no_signaling():
     t0 = time.perf_counter()
-    joint = circuit.copenhagen_joint_distribution(circuit.build_eraser(INT, INT, exact=True))
+    joint = circuit.copenhagen_joint_distribution(circuit.build_eraser(INT, INT))
     lc = inference.local_causality_test(joint, "R1", "L1")
     assert lc.verdict == inference.VIOLATED
     assert lc.details["exact_statistic"] == R(1, 2)
@@ -60,7 +60,7 @@ def test_criterion_02_local_causality_vs_no_signaling():
         {
             (INT, INT): joint,
             (INT, WP): circuit.copenhagen_joint_distribution(
-                circuit.build_eraser(INT, WP, exact=True)),
+                circuit.build_eraser(INT, WP)),
         },
         side="left",
     )
@@ -106,9 +106,9 @@ def test_criterion_05_measurement_independence_violation():
     t0 = time.perf_counter()
     groups = {
         (INT, INT): circuit.enumerate_transport(
-            circuit.build_eraser(INT, INT, right_acts_first=True, exact=True)),
+            circuit.build_eraser(INT, INT, right_acts_first=True)),
         (INT, WP): circuit.enumerate_transport(
-            circuit.build_eraser(INT, WP, right_acts_first=True, exact=True)),
+            circuit.build_eraser(INT, WP, right_acts_first=True)),
     }
     pre = inference.measurement_independence_test(groups, stage="pre_detection")
     assert pre.verdict == inference.VIOLATED
@@ -133,7 +133,7 @@ def test_criterion_06_transport_equivariance_every_layer():
         itertools.product((INT, WP), repeat=2), (False, True)
     ):
         enum = circuit.enumerate_transport(
-            circuit.build_eraser(left, right, right_acts_first=rfirst, exact=True))
+            circuit.build_eraser(left, right, right_acts_first=rfirst))
         for (layer, got), (_, want) in zip(
             enum.layer_distributions, enum.reference_distributions
         ):

@@ -2,8 +2,8 @@
 
 Joint detector statistics are checked against an oracle that rebuilds the
 state evolution from raw sympy matrices (kron products and column vectors,
-no code under test); exact circuits take `exact.pi_times` angles and the
-oracle the same pi-fractions as sympy angles.  Transport facts are frozen
+no code under test); the analytic engine takes `exact.pi_times` angles and
+the oracle the same pi-fractions as sympy angles.  Transport facts are frozen
 from hand-worked cases: with both arms reading interference at theta = pi/4,
 the left coordinate alone fixes the outcome pair when the left arm acts
 first, and the *right* coordinate fixes the left record when the right arm
@@ -83,7 +83,7 @@ def _angles(tl, tr, make, default=None):
 def test_joint_distribution_matches_sympy_oracle(left, right, tl, tr, rfirst):
     exact_l, exact_r = _angles(tl, tr, exact.pi_times)
     circ = circuit.build_eraser(left, right, theta_left=exact_l, theta_right=exact_r,
-                                right_acts_first=rfirst, exact=True)
+                                right_acts_first=rfirst)
     got = circuit.copenhagen_joint_distribution(circ)
     sym_l, sym_r = _angles(tl, tr, sympy_angle, default=sp.pi / 4)
     want = _oracle_joint(left, right, sym_l, sym_r, right_acts_first=rfirst)
@@ -93,17 +93,17 @@ def test_joint_distribution_matches_sympy_oracle(left, right, tl, tr, rfirst):
 
 
 def test_joint_distribution_frozen_values():
-    circ = circuit.build_eraser(INT, INT, exact=True)
+    circ = circuit.build_eraser(INT, INT)
     assert circuit.copenhagen_joint_distribution(circ) == {
         ("L1", "R1"): R(1, 2),
         ("L1", "R2"): 0,
         ("L2", "R1"): 0,
         ("L2", "R2"): R(1, 2),
     }
-    circ = circuit.build_eraser(INT, WP, exact=True)
+    circ = circuit.build_eraser(INT, WP)
     dist = circuit.copenhagen_joint_distribution(circ)
     assert dist == {k: R(1, 4) for k in dist}
-    circ = circuit.build_eraser(WP, WP, exact=True)
+    circ = circuit.build_eraser(WP, WP)
     assert circuit.copenhagen_joint_distribution(circ) == {
         ("L3", "R3"): R(1, 2),
         ("L3", "R4"): 0,
@@ -115,21 +115,21 @@ def test_joint_distribution_frozen_values():
 def test_joint_distribution_order_independent():
     for lr in [(INT, INT), (INT, WP), (WP, INT)]:
         a = circuit.copenhagen_joint_distribution(
-            circuit.build_eraser(*lr, right_acts_first=False, exact=True))
+            circuit.build_eraser(*lr, right_acts_first=False))
         b = circuit.copenhagen_joint_distribution(
-            circuit.build_eraser(*lr, right_acts_first=True, exact=True))
+            circuit.build_eraser(*lr, right_acts_first=True))
         assert a == b
 
 
 def test_beam_splitter_convention_and_orthogonality():
     for multiple in (Fraction(0), Fraction(1, 8), Fraction(1, 3), Fraction(5, 12), Fraction(1, 2)):
-        b = circuit.beam_splitter_matrix(exact.pi_times(multiple), exact=True)
+        b = circuit.beam_splitter_matrix(exact.pi_times(multiple))
         th = sympy_angle(multiple)
         assert agrees(b[0, 0], sp.cos(th)) and agrees(b[1, 0], sp.sin(th))
         assert agrees(b[0, 1], sp.sin(th)) and agrees(b[1, 1], -sp.cos(th))
         # real orthogonal, decided exactly in the field
         assert (b @ b.T == np.array([[1, 0], [0, 1]], dtype=object)).all()
-    quarter = circuit.beam_splitter_matrix(exact.pi_times(Fraction(1, 4)), exact=True)
+    quarter = circuit.beam_splitter_matrix(exact.pi_times(Fraction(1, 4)))
     assert quarter[0, 0] == exact.SQRT2 / 2
     assert agrees(quarter[0, 0], 1 / sp.sqrt(2))
 
@@ -156,7 +156,7 @@ def test_rejects_nonincreasing_layers():
         circuit.CircuitElement(3, "R", "whichpath_detector"),
     )
     with pytest.raises(ValueError, match="strictly increase"):
-        circuit.OpticalCircuit((INT, WP), els, False, False)
+        circuit.OpticalCircuit((INT, WP), els, False)
 
 
 def test_rejects_missing_terminal_detector():
@@ -165,7 +165,7 @@ def test_rejects_missing_terminal_detector():
         circuit.CircuitElement(2, "R", "whichpath_detector"),
     )
     with pytest.raises(ValueError, match="terminal detector"):
-        circuit.OpticalCircuit((INT, WP), els, False, False)
+        circuit.OpticalCircuit((INT, WP), els, False)
 
 
 def test_rejects_detector_before_last_element():
@@ -175,7 +175,7 @@ def test_rejects_detector_before_last_element():
         circuit.CircuitElement(3, "R", "whichpath_detector"),
     )
     with pytest.raises(ValueError, match="last element"):
-        circuit.OpticalCircuit((INT, WP), els, False, False)
+        circuit.OpticalCircuit((INT, WP), els, False)
 
 
 def test_rejects_angle_outside_range():
@@ -208,10 +208,19 @@ def test_rejects_label_outside_pair():
         circuit.sample_bohmian_runs(circ, 0, 0, hidden=([[0, 0]], [[0.5, 0.5], [0.1, 0.1]]))
 
 
-def test_vectorized_sampler_rejects_exact_circuit():
-    circ = circuit.build_eraser(INT, INT, exact=True)
-    with pytest.raises(ValueError, match="float"):
-        circuit.sample_bohmian_runs(circ, 10, seed=0)
+def test_sampler_reads_exact_angles_as_radians_bit_for_bit():
+    # the default pi_times(1/4) angles and radian pi/4 give the same runs
+    for left, right, rfirst in [(INT, INT, False), (INT, WP, True), (WP, INT, False)]:
+        default = circuit.build_eraser(left, right, right_acts_first=rfirst)
+        radian = circuit.build_eraser(left, right, theta_left=np.pi / 4, theta_right=np.pi / 4,
+                                      right_acts_first=rfirst)
+        a = circuit.sample_bohmian_runs(default, 500, seed=5, stream_index=3)
+        b = circuit.sample_bohmian_runs(radian, 500, seed=5, stream_index=3)
+        assert np.array_equal(a.labels0, b.labels0) and np.array_equal(a.coords0, b.coords0)
+        assert np.array_equal(a.outcomes, b.outcomes)
+        assert a.bs_layers == b.bs_layers
+        for arm in "LR":
+            assert all(np.array_equal(x, y) for x, y in zip(a.bs_labels[arm], b.bs_labels[arm]))
 
 
 def test_transport_rejects_off_support_configuration():
@@ -297,7 +306,7 @@ _ENUM_SETTINGS = [
 
 @pytest.mark.parametrize("left,right,rfirst", _ENUM_SETTINGS)
 def test_enumeration_matches_born_at_every_layer(left, right, rfirst):
-    circ = circuit.build_eraser(left, right, right_acts_first=rfirst, exact=True)
+    circ = circuit.build_eraser(left, right, right_acts_first=rfirst)
     enum = circuit.enumerate_transport(circ)
     assert len(enum.layer_distributions) == len(enum.reference_distributions)
     for (layer_a, got), (layer_b, want) in zip(
@@ -311,7 +320,7 @@ def test_enumeration_matches_born_at_every_layer(left, right, rfirst):
 
 @pytest.mark.parametrize("left,right,rfirst", _ENUM_SETTINGS)
 def test_enumeration_cells_partition_the_hidden_space(left, right, rfirst):
-    circ = circuit.build_eraser(left, right, right_acts_first=rfirst, exact=True)
+    circ = circuit.build_eraser(left, right, right_acts_first=rfirst)
     enum = circuit.enumerate_transport(circ)
     total = sum(
         Fraction(1, 2)
@@ -335,7 +344,7 @@ def test_enumeration_cells_partition_the_hidden_space(left, right, rfirst):
 
 def test_enumeration_outcome_distribution_matches_copenhagen():
     for left, right, rfirst in _ENUM_SETTINGS:
-        circ = circuit.build_eraser(left, right, right_acts_first=rfirst, exact=True)
+        circ = circuit.build_eraser(left, right, right_acts_first=rfirst)
         enum = circuit.enumerate_transport(circ)
         born = circuit.copenhagen_joint_distribution(circ)
         for key in born:
@@ -344,21 +353,21 @@ def test_enumeration_outcome_distribution_matches_copenhagen():
 
 
 def test_enumeration_initial_label_distribution():
-    enum = circuit.enumerate_transport(circuit.build_eraser(INT, INT, exact=True))
+    enum = circuit.enumerate_transport(circuit.build_eraser(INT, INT))
     assert enum.initial_label_distribution() == {(0, 0): R(1, 2), (1, 1): R(1, 2)}
 
 
 def test_enumeration_record_weights_sum_to_one():
-    enum = circuit.enumerate_transport(circuit.build_eraser(INT, WP, exact=True))
+    enum = circuit.enumerate_transport(circuit.build_eraser(INT, WP))
     assert sum(enum.record_distribution.values()) == 1
 
 
 def test_left_marginal_unchanged_by_far_setting():
     # exact no-signaling at the level of enumeration weights
     base = circuit.enumerate_transport(
-        circuit.build_eraser(INT, INT, right_acts_first=True, exact=True))
+        circuit.build_eraser(INT, INT, right_acts_first=True))
     other = circuit.enumerate_transport(
-        circuit.build_eraser(INT, WP, right_acts_first=True, exact=True))
+        circuit.build_eraser(INT, WP, right_acts_first=True))
     ml, mo = base.left_marginal(), other.left_marginal()
     assert set(ml) == set(mo)
     for k in ml:
@@ -368,27 +377,32 @@ def test_left_marginal_unchanged_by_far_setting():
 
 def test_record_overlap_distance_half_when_right_acts_first():
     enum_int = circuit.enumerate_transport(
-        circuit.build_eraser(INT, INT, right_acts_first=True, exact=True))
+        circuit.build_eraser(INT, INT, right_acts_first=True))
     enum_wp = circuit.enumerate_transport(
-        circuit.build_eraser(INT, WP, right_acts_first=True, exact=True))
+        circuit.build_eraser(INT, WP, right_acts_first=True))
     dist = circuit.record_overlap_distance(enum_int, enum_wp, arms=("L",))
     assert dist == R(1, 2)
 
 
 def test_record_overlap_distance_zero_when_left_acts_first():
     enum_int = circuit.enumerate_transport(
-        circuit.build_eraser(INT, INT, right_acts_first=False, exact=True))
+        circuit.build_eraser(INT, INT, right_acts_first=False))
     enum_wp = circuit.enumerate_transport(
-        circuit.build_eraser(INT, WP, right_acts_first=False, exact=True))
+        circuit.build_eraser(INT, WP, right_acts_first=False))
     dist = circuit.record_overlap_distance(enum_int, enum_wp, arms=("L",))
     assert dist == 0
 
 
-def test_record_overlap_distance_rejects_mixed_modes():
-    a = circuit.enumerate_transport(circuit.build_eraser(INT, INT, exact=True))
-    b = circuit.enumerate_transport(circuit.build_eraser(INT, INT, exact=False))
-    with pytest.raises(ValueError, match="exact"):
-        circuit.record_overlap_distance(a, b)
+def test_analytics_refuse_radian_angles():
+    radian = circuit.build_eraser(INT, INT, theta_right=np.pi / 4)
+    for analytic in (circuit.evolved_state, circuit.copenhagen_joint_distribution,
+                     circuit.enumerate_transport):
+        with pytest.raises(TypeError, match="pi_times"):
+            analytic(radian)
+    # a which-path arm carries no beam splitter, so its angle is never read
+    unread = circuit.build_eraser(WP, INT, theta_left=np.pi / 4)
+    assert circuit.copenhagen_joint_distribution(unread) == circuit.copenhagen_joint_distribution(
+        circuit.build_eraser(WP, INT))
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +424,7 @@ def test_sampler_agrees_with_exact_enumeration():
     # whose initial rectangle holds its hidden value
     for left, right, rfirst in _ENUM_SETTINGS:
         cells = circuit.enumerate_transport(
-            circuit.build_eraser(left, right, right_acts_first=rfirst, exact=True)).cells
+            circuit.build_eraser(left, right, right_acts_first=rfirst)).cells
         circ = circuit.build_eraser(left, right, right_acts_first=rfirst)
         sample = circuit.sample_bohmian_runs(circ, 200, seed=3, stream_index=5)
         for i in range(sample.n):
@@ -429,10 +443,9 @@ def test_sampler_agrees_with_exact_enumeration():
 def test_sampler_frequencies_match_exact_weights():
     n = 100_000
     for left, right in [(INT, INT), (INT, WP)]:
-        circ_f = circuit.build_eraser(left, right)
-        circ_e = circuit.build_eraser(left, right, exact=True)
-        weights = circuit.copenhagen_joint_distribution(circ_e)
-        counts = circuit.sample_bohmian_runs(circ_f, n, seed=7, stream_index=0).outcome_counts()
+        circ = circuit.build_eraser(left, right)
+        weights = circuit.copenhagen_joint_distribution(circ)
+        counts = circuit.sample_bohmian_runs(circ, n, seed=7, stream_index=0).outcome_counts()
         assert sum(counts.values()) == n
         for key, w in weights.items():
             p = float(w)

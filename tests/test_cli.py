@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -196,6 +197,19 @@ def test_import_leaves_sympy_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_module_run_writes_nothing_to_stderr(tmp_path):
+    # `python -m qfoundations.cli` must not find the cli module imported
+    # already by the package, which makes runpy warn on every run
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "qfoundations.cli", "run", "repeatability", "--trials", "50",
+         "--out", str(tmp_path / "rep")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+
+
 def test_free_packet_scenario_small(tmp_path, capsys):
     out = tmp_path / "fp"
     code = main(["run", "free_packet", "--out", str(out), "--trials", "50",
@@ -279,6 +293,22 @@ def test_bell_scenario(tmp_path, capsys):
     assert res["local_model_max"] == 2.0
     assert res["exact_value"] == "2*sqrt(2)"
     assert (out / "chsh_summary.csv").exists()
+
+
+def test_bell_montecarlo_needs_two_trials(tmp_path, capsys):
+    # one trial per setting has no sample variance: it once wrote a NaN
+    # standard error, which is not JSON
+    out = tmp_path / "one"
+    code = main(["run", "bell_chsh", "--mode", "montecarlo", "--trials", "1", "--out", str(out)])
+    assert code == 1
+    assert "config error at $.trials" in capsys.readouterr().err
+    assert not (out / "chsh_result.json").exists()
+    out = tmp_path / "two"
+    code = main(["run", "bell_chsh", "--mode", "montecarlo", "--trials", "2", "--out", str(out)])
+    assert code == 0
+    capsys.readouterr()
+    res = _validate(out / "chsh_result.json", "chsh_result")
+    assert math.isfinite(res["monte_carlo"]["standard_error"])
 
 
 def test_free_packet_equivariance_holds_from_start_to_end(tmp_path, capsys):

@@ -37,7 +37,7 @@ def test_every_pi_over_32_grid_correlator_matches_sympy_oracle():
                                        [float(exact.pi_times(t)) for t in grid])
     for i, tl in enumerate(grid):
         for j, tr in enumerate(grid):
-            e = inference.correlator(exact.pi_times(tl), exact.pi_times(tr), exact=True)
+            e = inference.correlator(exact.pi_times(tl), exact.pi_times(tr))
             assert agrees(e, _oracle_correlator(tl, tr)), (tl, tr)
             # the exact law inside the field, and the float table beside it
             assert e == exact.pi_times(2 * (tl - tr)).cos()
@@ -47,14 +47,14 @@ def test_every_pi_over_32_grid_correlator_matches_sympy_oracle():
 @pytest.mark.parametrize("tr", [Fraction(0), Fraction(1, 8), Fraction(1, 32), Fraction(1, 3)])
 def test_pi_over_3_correlators_match_sympy_oracle(tr):
     tl = Fraction(1, 3)
-    e = inference.correlator(exact.pi_times(tl), exact.pi_times(tr), exact=True)
+    e = inference.correlator(exact.pi_times(tl), exact.pi_times(tr))
     assert agrees(e, _oracle_correlator(tl, tr))
     assert e == exact.pi_times(2 * (tl - tr)).cos()
 
 
 def test_chsh_at_the_grid_optimum_is_two_sqrt_two():
     settings_ = [exact.pi_times(Fraction(k, 32)) for k in (6, 14, 10, 2)]
-    s = inference.chsh_value(settings_, exact=True)
+    s = inference.chsh_value(settings_)
     assert s == 2 * exact.SQRT2
     assert str(s) == "2*sqrt(2)"
     assert agrees(s, 2 * sp.sqrt(2))
@@ -194,8 +194,10 @@ def test_angles_are_pi_fractions_never_radians():
     assert float(exact.pi_times(Fraction(1, 4))) == np.pi / 4
     with pytest.raises(TypeError):
         exact.pi_times(0.25)
+    # a circuit may hold radians for the sampler, but the analytics refuse them
+    radian = circuit.build_eraser(circuit.INTERFERENCE, circuit.INTERFERENCE, theta_left=0.5)
     with pytest.raises(TypeError, match="pi_times"):
-        circuit.build_eraser(circuit.INTERFERENCE, circuit.INTERFERENCE, theta_left=0.5, exact=True)
+        circuit.copenhagen_joint_distribution(radian)
 
 
 def test_nearest_pi_fraction():

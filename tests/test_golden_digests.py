@@ -44,6 +44,11 @@ PINS = {
     ),
     "repeatability": ("repeatability", []),
     "bell_chsh": ("bell_chsh", []),
+    "bell_chsh_montecarlo": ("bell_chsh", ["--mode", "montecarlo", "--trials", "20000"]),
+    # a six-step grid wins at a pi/12 multiple, whose exact S has the cos form
+    "bell_chsh_grid_6": ("bell_chsh", ["--grid-step-count", "6"]),
+    # theta = pi/8: the exact eraser table holds irrational probabilities
+    "eraser_theta_pi_over_8": ("eraser", ["--theta", "0.39269908169872414", "--format", "json,csv,svg"]),
     "claims_suite": ("claims_suite", ["--trials", "20000"]),
 }
 

@@ -27,7 +27,7 @@ R = sp.Rational
 
 def _exact_eraser(left=INT, right=INT, **kw):
     return circuit.copenhagen_joint_distribution(
-        circuit.build_eraser(left, right, exact=True, **kw)
+        circuit.build_eraser(left, right, **kw)
     )
 
 
@@ -165,8 +165,8 @@ def test_mwi_joint_distribution_agrees_with_copenhagen():
 
 
 def test_mi_analytic_identical_settings_zero():
-    a = circuit.enumerate_transport(circuit.build_eraser(INT, INT, exact=True))
-    b = circuit.enumerate_transport(circuit.build_eraser(INT, INT, exact=True))
+    a = circuit.enumerate_transport(circuit.build_eraser(INT, INT))
+    b = circuit.enumerate_transport(circuit.build_eraser(INT, INT))
     rep = inference.measurement_independence_test({"s1": a, "s2": b})
     assert rep.verdict == inference.SATISFIED
     assert rep.statistic == 0.0
@@ -175,9 +175,9 @@ def test_mi_analytic_identical_settings_zero():
 def test_mi_analytic_initial_stage_setting_free():
     groups = {
         (INT, INT): circuit.enumerate_transport(
-            circuit.build_eraser(INT, INT, right_acts_first=True, exact=True)),
+            circuit.build_eraser(INT, INT, right_acts_first=True)),
         (INT, WP): circuit.enumerate_transport(
-            circuit.build_eraser(INT, WP, right_acts_first=True, exact=True)),
+            circuit.build_eraser(INT, WP, right_acts_first=True)),
     }
     rep = inference.measurement_independence_test(groups, stage="initial")
     assert rep.verdict == inference.SATISFIED
@@ -187,9 +187,9 @@ def test_mi_analytic_initial_stage_setting_free():
 def test_mi_analytic_pre_detection_violated_with_diagnostics():
     groups = {
         (INT, INT): circuit.enumerate_transport(
-            circuit.build_eraser(INT, INT, right_acts_first=True, exact=True)),
+            circuit.build_eraser(INT, INT, right_acts_first=True)),
         (INT, WP): circuit.enumerate_transport(
-            circuit.build_eraser(INT, WP, right_acts_first=True, exact=True)),
+            circuit.build_eraser(INT, WP, right_acts_first=True)),
     }
     rep = inference.measurement_independence_test(groups)
     assert rep.verdict == inference.VIOLATED
@@ -333,18 +333,21 @@ def test_correlator_law_derived_symbolically():
 
 
 def test_correlator_values():
-    assert abs(inference.correlator(0.3, 0.3) - 1.0) < 1e-12
+    assert abs(inference.correlator_table([0.3], [0.3])[0, 0] - 1.0) < 1e-12
     eighth, three_eighths = exact.pi_times(Fraction(1, 8)), exact.pi_times(Fraction(3, 8))
-    assert inference.correlator(eighth, three_eighths, exact=True) == 0
-    got = inference.correlator(np.pi / 8, 0.0)
+    assert inference.correlator(eighth, three_eighths) == 0
+    got = inference.correlator_table([np.pi / 8], [0.0])[0, 0]
     assert abs(got - math.cos(np.pi / 4)) < 1e-12
+    # the correlator is exact only; radians go to correlator_table
+    with pytest.raises(TypeError, match="pi_times"):
+        inference.correlator(0.3, 0.3)
 
 
 def test_chsh_value_at_textbook_settings():
     settings = tuple(exact.pi_times(Fraction(k, 8)) for k in (2, 0, 1, 3))
-    assert inference.chsh_value(settings, exact=True) == 2 * exact.SQRT2
-    assert abs(inference.chsh_value([np.pi / 4, 0.0, np.pi / 8, 3 * np.pi / 8])
-               - 2 * math.sqrt(2)) < 1e-12
+    assert inference.chsh_value(settings) == 2 * exact.SQRT2
+    e = inference.correlator_table([np.pi / 4, 0.0], [np.pi / 8, 3 * np.pi / 8])
+    assert abs(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1] - 2 * math.sqrt(2)) < 1e-12
 
 
 # chsh_optimize's default grid: multiples of pi/32 on [0, pi/2]
@@ -352,17 +355,25 @@ _CHSH_GRID = np.arange(0.0, np.pi / 2 + np.pi / 64, np.pi / 32)
 
 
 def test_correlator_table_matches_circuit_born_table_bit_for_bit():
-    # reference: the per-circuit Born table, one freshly built eraser per pair
+    # reference: a float Born table per pair, the source state evolved by
+    # `hilbert` through one joint beam-splitter unitary per arm, left first
     grid = _CHSH_GRID
     table = inference.correlator_table(grid, grid)
-    signs = {"1": -1, "2": 1}
+    psi0 = hilbert.StateVector(circuit.joint_space(), circuit.FLOAT_SOURCE.ravel())
+    eye = np.eye(2, dtype=np.complex128)
     for i, tl in enumerate(grid):
         for j, tr in enumerate(grid):
-            circ = circuit.build_eraser(INT, INT, theta_left=tl, theta_right=tr)
-            dist = circuit.copenhagen_joint_distribution(circ)
-            e = float(sum(signs[l[-1]] * signs[r[-1]] * p for (l, r), p in dist.items()))
+            psi = psi0
+            for u in (np.kron(circuit.beam_splitter_matrix(tl), eye),
+                      np.kron(eye, circuit.beam_splitter_matrix(tr))):
+                psi = hilbert.evolve(psi, hilbert.UnitaryMap(u))
+            amps = psi.amplitudes.reshape(2, 2)
+            # summed in detector-name order: label index 1 is the 1-detector
+            e = 0
+            for l, r in itertools.product((1, 0), (1, 0)):
+                z = amps[l, r]
+                e += (1 if l == r else -1) * (z.real * z.real + z.imag * z.imag)
             assert table[i, j] == e, (i, j)
-            assert inference.correlator(tl, tr) == e
 
 
 def test_chsh_optimize_reaches_tsirelson():
@@ -370,6 +381,8 @@ def test_chsh_optimize_reaches_tsirelson():
     grid = _CHSH_GRID
     e = inference.correlator_table(grid, grid)
     assert res.settings == tuple(float(v) for v in grid[[6, 14, 10, 2]])
+    assert res.angles == tuple(exact.pi_times(Fraction(k, 32)) for k in (6, 14, 10, 2))
+    assert res.exact_value == inference.chsh_value(res.angles)
     assert res.s_value == e[6, 10] + e[6, 2] + e[14, 10] - e[14, 2]
     assert res.s_value == float(np.max(inference._chsh_table(e)))
     assert abs(res.s_value - 2 * math.sqrt(2)) < 1e-9
