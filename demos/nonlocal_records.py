@@ -10,7 +10,7 @@ this way - yet the left record's marginal law is setting-independent, so
 the dependence is invisible at the ensemble level.
 """
 
-from qfoundations import circuit
+from qfoundations import circuit, inference
 
 INT = circuit.INTERFERENCE
 WP = circuit.WHICHPATH
@@ -46,9 +46,9 @@ def main():
     print(f"same measure when the left arm acts first: "
           f"{circuit.record_overlap_distance(early_int, early_wp, arms=('L',))}\n")
 
-    report = circuit.trajectory_setting_dependence(1000, seed=7, stream_index=400)
+    report = inference.trajectory_setting_dependence(1000, seed=7, stream_index=400)
     print(f"sampled check over {report.n} equilibrium configurations:")
-    print(f"  changed fraction = {report.changed_fraction:.3f}  (exact value 1/2)")
+    print(f"  changed fraction = {report.statistic:.3f}  (exact value 1/2)")
 
 
 if __name__ == "__main__":

@@ -48,7 +48,9 @@ one-row ensemble passed as `hidden`) and reads each angle as `float(theta)`.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -80,8 +82,7 @@ __all__ = [
     "enumerate_transport",
     "TransportEnumeration",
     "record_overlap_distance",
-    "trajectory_setting_dependence",
-    "SettingDependenceReport",
+    "sample_eraser",
 ]
 
 INTERFERENCE = "interference"
@@ -126,6 +127,8 @@ class OpticalCircuit:
                 raise ValueError(f"the detector must be the last element on arm {arm}")
         for e in self.elements:
             if e.kind == "beam_splitter":
+                if e.theta is None:
+                    raise ValueError(f"beam splitter (layer {e.layer}, arm {e.arm}) has no angle")
                 th = float(e.theta)
                 if not 0.0 <= th <= np.pi / 2 + 1e-12:
                     raise ValueError(f"beam splitter angle {th} outside [0, pi/2]")
@@ -465,6 +468,50 @@ def sample_bohmian_runs(
     )
 
 
+def _merge_samples(circ, parts) -> BohmianSample:
+    return BohmianSample(
+        circuit=circ,
+        labels0=np.concatenate([p.labels0 for p in parts]),
+        coords0=np.concatenate([p.coords0 for p in parts]),
+        bs_layers=parts[0].bs_layers,
+        bs_labels={
+            arm: tuple(
+                np.concatenate([p.bs_labels[arm][k] for p in parts])
+                for k in range(len(parts[0].bs_layers[arm]))
+            )
+            for arm in ("L", "R")
+        },
+        outcomes=np.concatenate([p.outcomes for p in parts]),
+    )
+
+
+def sample_eraser(circ, n: int, seed: int, workers: int, base_index: int) -> BohmianSample:
+    """`sample_bohmian_runs` over n runs in fixed-size chunks, chunk i drawn
+    from stream (seed, base_index + i), drained by `workers` threads."""
+    # chunk size depends only on n, so stream indices (and results) are the
+    # same no matter how many workers drain the queue
+    chunk = max(10000, math.ceil(n / 100))
+    tasks = []
+    start = 0
+    index = 0
+    while start < n:
+        size = min(chunk, n - start)
+        tasks.append((index, size))
+        start += size
+        index += 1
+
+    def work(task):
+        i, size = task
+        return sample_bohmian_runs(circ, size, seed, stream_index=base_index + i)
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(work, tasks))
+    else:
+        parts = [work(t) for t in tasks]
+    return parts[0] if len(parts) == 1 else _merge_samples(circ, parts)
+
+
 # ---------------------------------------------------------------------------
 # exact enumeration of the transport
 
@@ -683,68 +730,3 @@ def record_overlap_distance(
                 continue
             agree = agree + _prob(psi0[ca.labels0[0]][ca.labels0[1]]) * inter
     return 1 - agree
-
-
-# ---------------------------------------------------------------------------
-# setting dependence of individual hidden values
-
-
-@dataclass(frozen=True)
-class SettingDependenceReport:
-    changed_fraction: float
-    n: int
-    examples: tuple  # ((labels, coords), record under interference, record under whichpath)
-
-
-def _left_record(sample: BohmianSample, i: int) -> tuple:
-    """Run i's left path record: ((layer, label), ...) from layer 0."""
-    return ((0, PATH_LABELS[sample.labels0[i, 0]]),) + tuple(
-        (int(layer), PATH_LABELS[labs[i]])
-        for layer, labs in zip(sample.bs_layers["L"], sample.bs_labels["L"])
-    )
-
-
-def trajectory_setting_dependence(
-    n: int,
-    seed: int,
-    stream_index: int = 0,
-    right_acts_first: bool = True,
-    theta=None,
-    max_examples: int = 3,
-) -> SettingDependenceReport:
-    """Rerun fixed hidden values with the right arm toggled between settings.
-
-    n equilibrium configurations are drawn from stream (seed, stream_index).
-    The left arm stays an interference arm; for each hidden value the left
-    label records under right = interference and right = whichpath are
-    compared.  A nonzero changed fraction means the left-side hidden path
-    depends on the far setting even though the left-side outcome statistics
-    do not.
-    """
-    circ_int = build_eraser(
-        INTERFERENCE, INTERFERENCE, theta_left=theta, theta_right=theta,
-        right_acts_first=right_acts_first,
-    )
-    circ_wp = build_eraser(
-        INTERFERENCE, WHICHPATH, theta_left=theta,
-        right_acts_first=right_acts_first,
-    )
-    a = sample_bohmian_runs(circ_int, n, seed, stream_index)
-    b = sample_bohmian_runs(circ_wp, n, seed, hidden=(a.labels0, a.coords0))
-    # the left arm owns the same layer slots under both settings, so the two
-    # left records differ exactly where some left beam-splitter label does
-    changed = np.zeros(n, dtype=bool)
-    for labs_a, labs_b in zip(a.bs_labels["L"], b.bs_labels["L"]):
-        changed |= labs_a != labs_b
-    examples = tuple(
-        (
-            (
-                (PATH_LABELS[a.labels0[i, 0]], PATH_LABELS[a.labels0[i, 1]]),
-                (float(a.coords0[i, 0]), float(a.coords0[i, 1])),
-            ),
-            _left_record(a, i),
-            _left_record(b, i),
-        )
-        for i in np.flatnonzero(changed)[:max_examples]
-    )
-    return SettingDependenceReport(int(changed.sum()) / n if n else 0.0, n, examples)

@@ -15,19 +15,17 @@ suite verdict mismatch.
 from __future__ import annotations
 
 import argparse
-import csv
 import ctypes
 import hashlib
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import circuit, exact, inference, pilotwave, schemas, svgplot
-from .streams import stream
+from .streams import IDX_CHSH, IDX_ERASER_A, IDX_REPEAT, IDX_SCENARIO, stream
 
 __all__ = ["main"]
 
@@ -35,16 +33,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 EXIT_CLAIMS = 3
-
-# stream-index blocks per purpose, so no two consumers share a (seed, index)
-_IDX_SCENARIO = 0
-_IDX_ERASER_A = 100
-_IDX_ERASER_B = 200
-_IDX_REPEAT = 300
-_IDX_CONFIGS = 400
-_IDX_BRANCH = 500
-_IDX_CHSH = 600
-_IDX_SAMPLING = 700
 
 # analytic --theta must be k*pi/q with q at most this
 _MAX_THETA_DENOMINATOR = 64
@@ -164,7 +152,28 @@ def _merge_config(args) -> dict:
         for err in errors:
             print(f"qfoundations: config error at {err.json_path}: {err.message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+    # checks that span fields, made before anything is written
+    analytic = cfg["mode"] == "analytic"
+    if analytic and _SCENARIOS[cfg["scenario"]][0] is _run_grid_scenario:
+        raise _fail_usage(f"scenario {cfg['scenario']} has no analytic mode; use --mode montecarlo")
+    if analytic and cfg["scenario"] == "eraser" and cfg["theta"] is not None:
+        if _pi_fraction(cfg["theta"]) is None:
+            raise _fail_usage(
+                f"config error at $.theta: {cfg['theta']!r} is not k*pi/q for any q <= "
+                f"{_MAX_THETA_DENOMINATOR} (within 1e-12), which analytic mode needs; "
+                "use --mode montecarlo for other angles"
+            )
+    if not analytic and cfg["scenario"] == "bell_chsh" and cfg["trials"] < 2:
+        raise _fail_usage(
+            f"config error at $.trials: {cfg['trials']} is too few; the Monte-Carlo "
+            "standard error needs a sample variance, so at least 2 trials per setting"
+        )
     return cfg
+
+
+def _pi_fraction(theta: float):
+    return exact.nearest_pi_fraction(theta, max_denominator=_MAX_THETA_DENOMINATOR)
 
 
 # ---------------------------------------------------------------------------
@@ -237,48 +246,6 @@ def _joint_distribution_payload(circ, dist, mode, n=None, counts=None) -> dict:
 # eraser scenario
 
 
-def _merge_samples(circ, parts) -> circuit.BohmianSample:
-    return circuit.BohmianSample(
-        circuit=circ,
-        labels0=np.concatenate([p.labels0 for p in parts]),
-        coords0=np.concatenate([p.coords0 for p in parts]),
-        bs_layers=parts[0].bs_layers,
-        bs_labels={
-            arm: tuple(
-                np.concatenate([p.bs_labels[arm][k] for p in parts])
-                for k in range(len(parts[0].bs_layers[arm]))
-            )
-            for arm in ("L", "R")
-        },
-        outcomes=np.concatenate([p.outcomes for p in parts]),
-    )
-
-
-def _sample_eraser(circ, n: int, seed: int, workers: int, base_index: int) -> circuit.BohmianSample:
-    # chunk size depends only on n, so stream indices (and results) are the
-    # same no matter how many workers drain the queue
-    chunk = max(10000, math.ceil(n / 100))
-    tasks = []
-    start = 0
-    index = 0
-    while start < n:
-        size = min(chunk, n - start)
-        tasks.append((index, size))
-        start += size
-        index += 1
-
-    def work(task):
-        i, size = task
-        return circuit.sample_bohmian_runs(circ, size, seed, stream_index=base_index + i)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(work, tasks))
-    else:
-        parts = [work(t) for t in tasks]
-    return parts[0] if len(parts) == 1 else _merge_samples(circ, parts)
-
-
 def _enumeration_runs(enum: circuit.TransportEnumeration) -> list[dict]:
     """One representative run per enumeration cell (interval midpoints)."""
     left, right = enum.circuit.settings
@@ -308,14 +275,7 @@ def _run_eraser(cfg: dict, outdir: str) -> tuple[list[str], bool]:
     theta = cfg["theta"]
     if analytic and theta is not None:
         # exact arithmetic needs the angle as a pi-fraction, not a float
-        frac = exact.nearest_pi_fraction(theta, max_denominator=_MAX_THETA_DENOMINATOR)
-        if frac is None:
-            raise _fail_usage(
-                f"config error at $.theta: {theta!r} is not k*pi/q for any q <= "
-                f"{_MAX_THETA_DENOMINATOR} (within 1e-12), which analytic mode needs; "
-                "use --mode montecarlo for other angles"
-            )
-        theta = exact.pi_times(frac)
+        theta = exact.pi_times(_pi_fraction(theta))
     circ = circuit.build_eraser(
         cfg["left"],
         cfg["right"],
@@ -356,7 +316,7 @@ def _run_eraser(cfg: dict, outdir: str) -> tuple[list[str], bool]:
             files.append(_write_text(os.path.join(outdir, "records.svg"), svg))
         return files, True
 
-    sample = _sample_eraser(circ, cfg["trials"], cfg["seed"], cfg["workers"], _IDX_ERASER_A)
+    sample = circuit.sample_eraser(circ, cfg["trials"], cfg["seed"], cfg["workers"], IDX_ERASER_A)
     counts = sample.outcome_counts()
     n = sample.n
     freqs = {pair: c / n for pair, c in counts.items()}
@@ -428,11 +388,9 @@ def _grid_setup(cfg: dict):
 
 
 def _run_grid_scenario(cfg: dict, outdir: str) -> tuple[list[str], bool]:
-    if cfg["mode"] != "montecarlo":
-        raise _fail_usage(f"scenario {cfg['scenario']} has no analytic mode; use --mode montecarlo")
     files = []
     psi0, params = _grid_setup(cfg)
-    rng = stream(cfg["seed"], _IDX_SCENARIO)
+    rng = stream(cfg["seed"], IDX_SCENARIO)
     positions = pilotwave.sample_equilibrium(psi0, cfg["trials"], rng)
     run = pilotwave.integrate_trajectories(
         psi0,
@@ -488,10 +446,10 @@ def _run_repeatability(cfg: dict, outdir: str) -> tuple[list[str], bool]:
     files = []
     mode = inference.ANALYTIC if cfg["mode"] == "analytic" else inference.MONTE_CARLO
     with_collapse = inference.repeatability_test(
-        cfg["trials"], collapse=True, mode=mode, seed=cfg["seed"], stream_index=_IDX_REPEAT
+        cfg["trials"], collapse=True, mode=mode, seed=cfg["seed"], stream_index=IDX_REPEAT
     )
     without_collapse = inference.repeatability_test(
-        cfg["trials"], collapse=False, mode=mode, seed=cfg["seed"], stream_index=_IDX_REPEAT + 1
+        cfg["trials"], collapse=False, mode=mode, seed=cfg["seed"], stream_index=IDX_REPEAT + 1
     )
     if "json" in cfg["formats"]:
         files.append(
@@ -522,12 +480,6 @@ def _run_repeatability(cfg: dict, outdir: str) -> tuple[list[str], bool]:
 
 
 def _chsh_payload(cfg: dict) -> dict:
-    montecarlo = cfg["mode"] == "montecarlo"
-    if montecarlo and cfg["trials"] < 2:
-        raise _fail_usage(
-            f"config error at $.trials: {cfg['trials']} is too few; the Monte-Carlo "
-            "standard error needs a sample variance, so at least 2 trials per setting"
-        )
     step = (np.pi / 2) / cfg["grid_step_count"]
     result = inference.chsh_optimize(step=step)
     models = inference.local_deterministic_models()
@@ -543,28 +495,14 @@ def _chsh_payload(cfg: dict) -> dict:
         "local_models": len(models),
         "monte_carlo": None,
     }
-    if montecarlo:
-        n = cfg["trials"]
-        t1, t2, f1, f2 = result.angles
-        estimate = 0.0
-        variance = 0.0
-        for k, (tl, tr, sign) in enumerate(
-            ((t1, f1, 1), (t1, f2, 1), (t2, f1, 1), (t2, f2, -1))
-        ):
-            circ = circuit.build_eraser(
-                "interference", "interference", theta_left=tl, theta_right=tr
-            )
-            dist = circuit.copenhagen_joint_distribution(circ)
-            pairs = inference.sample_outcome_pairs(dist, n, cfg["seed"], _IDX_CHSH + k)
-            signs = {"1": -1, "2": 1}
-            values = np.array([signs[l[-1]] * signs[r[-1]] for l, r in pairs], dtype=float)
-            e_hat = float(values.mean())
-            estimate += sign * e_hat
-            variance += float(values.var(ddof=1)) / n
+    if cfg["mode"] == "montecarlo":
+        estimate, error = inference.chsh_estimate(
+            result.angles, cfg["trials"], cfg["seed"], IDX_CHSH
+        )
         payload["monte_carlo"] = {
             "estimate": estimate,
-            "standard_error": math.sqrt(variance),
-            "n_per_setting": n,
+            "standard_error": error,
+            "n_per_setting": cfg["trials"],
         }
     return payload
 
@@ -588,319 +526,22 @@ def _run_bell(cfg: dict, outdir: str) -> tuple[list[str], bool]:
 # claims suite
 
 
-def _claim(claims: list, name: str, expected: str, report: inference.TestReport) -> None:
-    claims.append(
-        {
-            "claim": name,
-            "expected_verdict": expected,
-            "report": report.to_dict(),
-            "matches": report.verdict == expected,
-        }
-    )
-
-
-def _transport_equivariance_report() -> inference.TestReport:
-    """Exact layer-by-layer agreement between transport and Born weights,
-    across all setting pairs and both time orderings."""
-    worst = exact.ZERO
-    checked = 0
-    for left in (circuit.INTERFERENCE, circuit.WHICHPATH):
-        for right in (circuit.INTERFERENCE, circuit.WHICHPATH):
-            for right_first in (False, True):
-                circ = circuit.build_eraser(left, right, right_acts_first=right_first)
-                enum = circuit.enumerate_transport(circ)
-                for (layer_a, dist), (layer_b, ref) in zip(
-                    enum.layer_distributions, enum.reference_distributions
-                ):
-                    if layer_a != layer_b:
-                        raise RuntimeError(f"transport layer {layer_a} paired with Born layer {layer_b}")
-                    dev = inference.total_variation(dist, ref)
-                    checked += 1
-                    if dev > worst:
-                        worst = dev
-    return inference.TestReport(
-        test="transport_equivariance",
-        statistic=float(worst),
-        threshold=0.0,
-        verdict=inference.SATISFIED if worst == 0 else inference.VIOLATED,
-        n=0,
-        mode=inference.ANALYTIC,
-        details={"layer_tables_checked": checked, "settings": 4, "orderings": 2},
-    )
-
-
-def _setting_dependence_report(seed: int, n: int = 200) -> inference.TestReport:
-    dep = circuit.trajectory_setting_dependence(n, seed, _IDX_CONFIGS, right_acts_first=True)
-    examples = [
-        {
-            "hidden": {
-                "label_L": labels[0],
-                "label_R": labels[1],
-                "x_L": coords[0],
-                "x_R": coords[1],
-            },
-            "record_left_interference": [[int(l), lab] for l, lab in rec_a],
-            "record_left_whichpath": [[int(l), lab] for l, lab in rec_b],
-        }
-        for (labels, coords), rec_a, rec_b in dep.examples
-    ]
-    lo, hi = inference.wilson_interval(round(dep.changed_fraction * dep.n), dep.n)
-    if dep.changed_fraction == 0.0:
-        verdict = inference.SATISFIED
-    elif lo > 0.0:
-        verdict = inference.VIOLATED
-    else:
-        verdict = inference.INCONCLUSIVE
-    return inference.TestReport(
-        test="trajectory_setting_dependence",
-        statistic=dep.changed_fraction,
-        threshold=0.0,
-        verdict=verdict,
-        n=dep.n,
-        mode=inference.MONTE_CARLO,
-        details={"examples": examples, "ci_low": lo, "ci_high": hi},
-    )
-
-
-def _purity_report() -> inference.TestReport:
-    from . import hilbert
-
-    # float arithmetic: the purity deviations reported are rounding-level
-    psi = hilbert.StateVector(circuit.joint_space(), circuit.FLOAT_SOURCE.ravel())
-    rho = hilbert.DensityMatrix.from_state(psi)
-    global_before = hilbert.purity(rho)
-    # the both-arms-interfering eraser's beam splitters, left arm first
-    b = circuit.beam_splitter_matrix(np.pi / 4)
-    evolved = rho
-    for arm in "LR":
-        evolved = hilbert.evolve(evolved, circuit._joint_unitary(b, arm))
-    global_after = hilbert.purity(evolved)
-    global_dev = abs(global_after - global_before)
-
-    reduced = hilbert.purity(hilbert.partial_trace(rho, keep=[0]))
-    reduced_dev = abs(reduced - 0.5)
-
-    space = circuit.path_space()
-    product = hilbert.tensor(
-        hilbert.superposition(space, {"1": 1.0, "2": 1.0}), hilbert.basis_state(space, "1")
-    )
-    before = hilbert.purity(hilbert.partial_trace(hilbert.DensityMatrix.from_state(product), [0]))
-    entangled = hilbert.evolve(product, hilbert.cnot_unitary())
-    after = hilbert.purity(hilbert.partial_trace(hilbert.DensityMatrix.from_state(entangled), [0]))
-
-    ok = global_dev <= 1e-12 and reduced_dev <= 1e-12 and after < before - 1e-9
-    return inference.TestReport(
-        test="purity_bookkeeping",
-        statistic=reduced_dev,
-        threshold=1e-12,
-        verdict=inference.SATISFIED if ok else inference.VIOLATED,
-        n=0,
-        mode=inference.ANALYTIC,
-        details={
-            "global_purity_change": global_dev,
-            "reduced_purity": reduced,
-            "product_purity_before_entangler": before,
-            "product_purity_after_entangler": after,
-        },
-    )
-
-
-def _correlation_agreement_report(counts: dict, exact_dist: dict) -> inference.TestReport:
-    n = sum(counts.values())
-    max_z = 0.0
-    for pair, p in exact_dist.items():
-        p = float(p)
-        f = counts.get(pair, 0) / n
-        if p <= 0.0 or p >= 1.0:
-            if abs(f - p) > 0.0:
-                max_z = math.inf
-            continue
-        max_z = max(max_z, abs(f - p) / math.sqrt(p * (1.0 - p) / n))
-    return inference.TestReport(
-        test="eraser_correlation_agreement",
-        statistic=max_z,
-        threshold=3.0,
-        verdict=inference.SATISFIED if max_z <= 3.0 else inference.VIOLATED,
-        n=n,
-        mode=inference.MONTE_CARLO,
-        details={"frequencies": {f"{l},{r}": c / n for (l, r), c in sorted(counts.items())}},
-    )
-
-
-def _continuum_equivariance_report(seed: int) -> inference.TestReport:
-    grid = pilotwave.GridSpec.make((-16.0, 16.0, 256))
-    profile = pilotwave.GaussianProfile(center=(0.0,), width=(1.0,), momentum=(0.0,))
-    psi0 = pilotwave.init_wavefunction(grid, profile)
-    params = pilotwave.PhysicsParams(masses=(1.0,), potential=pilotwave.free())
-    positions = pilotwave.sample_equilibrium(psi0, 2000, stream(seed, _IDX_SCENARIO + 1))
-    run = pilotwave.integrate_trajectories(psi0, params, positions, dt=0.002, steps=500, save_every=500)
-    report = pilotwave.check_equivariance(run)
-    verdict = {
-        "pass": inference.SATISFIED,
-        "fail": inference.VIOLATED,
-        "invalid": inference.INCONCLUSIVE,
-    }[report.verdict]
-    return inference.TestReport(
-        test="continuum_equivariance",
-        statistic=float(report.statistic),
-        threshold=float(report.threshold),
-        verdict=verdict,
-        n=report.n,
-        mode=inference.MONTE_CARLO,
-        details={"n_absorbed": report.n_absorbed, "final_time": float(run.times[-1])},
-    )
-
-
 def _run_claims(cfg: dict, outdir: str) -> tuple[list[str], bool]:
-    seed = cfg["seed"]
-    trials = cfg["trials"]
-    workers = cfg["workers"]
-    claims: list = []
-
-    # exact eraser distributions, used by several claims below
-    circ_ii = circuit.build_eraser(circuit.INTERFERENCE, circuit.INTERFERENCE)
-    circ_iw = circuit.build_eraser(circuit.INTERFERENCE, circuit.WHICHPATH)
-    dist_ii = circuit.copenhagen_joint_distribution(circ_ii)
-    dist_iw = circuit.copenhagen_joint_distribution(circ_iw)
-
-    _claim(
-        claims,
-        "local_causality_eraser_analytic",
-        inference.VIOLATED,
-        inference.local_causality_test(dist_ii, "R1", "L1"),
-    )
-
-    counts_ii = _sample_eraser(circ_ii, trials, seed, workers, _IDX_ERASER_A).outcome_counts()
-    counts_iw = _sample_eraser(circ_iw, trials, seed, workers, _IDX_ERASER_B).outcome_counts()
-    _claim(
-        claims,
-        "local_causality_eraser_monte_carlo",
-        inference.VIOLATED,
-        inference.local_causality_test(counts_ii, "R1", "L1"),
-    )
-    _claim(
-        claims,
-        "local_causality_mwi_records",
-        inference.VIOLATED,
-        inference.local_causality_test(inference.mwi_joint_distribution(circ_ii), "R1", "L1"),
-    )
-    _claim(
-        claims,
-        "no_signaling_eraser_analytic",
-        inference.SATISFIED,
-        inference.no_signaling_test(
-            {("interference", "interference"): dist_ii, ("interference", "whichpath"): dist_iw},
-            side="left",
-        ),
-    )
-    _claim(
-        claims,
-        "no_signaling_eraser_monte_carlo",
-        inference.SATISFIED,
-        inference.no_signaling_test(
+    evidence = inference.claim_evidence(cfg["seed"], cfg["trials"], cfg["workers"])
+    claims = []
+    for name, expected, test in inference.CLAIMS:
+        report = test(evidence)
+        claims.append(
             {
-                ("interference", "interference"): counts_ii,
-                ("interference", "whichpath"): counts_iw,
-            },
-            side="left",
-        ),
-    )
-    _claim(
-        claims,
-        "eraser_correlation_agreement",
-        inference.SATISFIED,
-        _correlation_agreement_report(counts_ii, dist_ii),
-    )
-
-    enum_int = circuit.enumerate_transport(
-        circuit.build_eraser(circuit.INTERFERENCE, circuit.INTERFERENCE, right_acts_first=True)
-    )
-    enum_wp = circuit.enumerate_transport(
-        circuit.build_eraser(circuit.INTERFERENCE, circuit.WHICHPATH, right_acts_first=True)
-    )
-    groups = {
-        ("interference", "interference"): enum_int,
-        ("interference", "whichpath"): enum_wp,
-    }
-    _claim(
-        claims,
-        "measurement_independence_pre_detection",
-        inference.VIOLATED,
-        inference.measurement_independence_test(groups),
-    )
-    _claim(
-        claims,
-        "measurement_independence_initial",
-        inference.SATISFIED,
-        inference.measurement_independence_test(groups, stage="initial"),
-    )
-    _claim(claims, "trajectory_setting_dependence", inference.VIOLATED, _setting_dependence_report(seed))
-    _claim(claims, "transport_equivariance", inference.SATISFIED, _transport_equivariance_report())
-
-    repeat_n = min(trials, 10000)
-    _claim(
-        claims,
-        "repeatability_with_collapse",
-        inference.SATISFIED,
-        inference.repeatability_test(repeat_n, collapse=True, seed=seed, stream_index=_IDX_REPEAT),
-    )
-    _claim(
-        claims,
-        "repeatability_without_collapse",
-        inference.VIOLATED,
-        inference.repeatability_test(
-            repeat_n, collapse=False, seed=seed, stream_index=_IDX_REPEAT + 1
-        ),
-    )
-    _claim(
-        claims,
-        "branch_collapse_equivalence",
-        inference.SATISFIED,
-        inference.branch_collapse_equivalence(seed=seed, stream_base=_IDX_BRANCH),
-    )
-
-    chsh = inference.chsh_optimize()
-    models = inference.local_deterministic_models()
-    local_max = max(inference.local_model_chsh_max(m) for m in models)
-    _claim(
-        claims,
-        "chsh_local_bound",
-        inference.SATISFIED,
-        inference.TestReport(
-            test="chsh_local_bound",
-            statistic=local_max,
-            threshold=2.0,
-            verdict=inference.SATISFIED if local_max <= 2.0 + 1e-12 else inference.VIOLATED,
-            n=0,
-            mode=inference.ANALYTIC,
-            details={"models": len(models)},
-        ),
-    )
-    tsirelson = 2.0 * math.sqrt(2.0)
-    quantum_ok = chsh.s_value > 2.0 and abs(chsh.s_value - tsirelson) < 1e-9
-    _claim(
-        claims,
-        "chsh_quantum_optimum",
-        inference.VIOLATED,
-        inference.TestReport(
-            test="chsh_quantum_optimum",
-            statistic=chsh.s_value,
-            threshold=2.0,
-            verdict=inference.VIOLATED if quantum_ok else inference.INCONCLUSIVE,
-            n=0,
-            mode=inference.ANALYTIC,
-            details={
-                "exact_value": str(chsh.exact_value),
-                "deviation_from_tsirelson": abs(chsh.s_value - tsirelson),
-                "settings": list(chsh.settings),
-            },
-        ),
-    )
-    _claim(claims, "purity_bookkeeping", inference.SATISFIED, _purity_report())
-    _claim(claims, "continuum_equivariance", inference.SATISFIED, _continuum_equivariance_report(seed))
+                "claim": name,
+                "expected_verdict": expected,
+                "report": report.to_dict(),
+                "matches": report.verdict == expected,
+            }
+        )
 
     all_match = all(c["matches"] for c in claims)
-    payload = {"seed": seed, "claims": claims, "all_match": all_match}
+    payload = {"seed": cfg["seed"], "claims": claims, "all_match": all_match}
     files = []
     if "json" in cfg["formats"]:
         files.append(_write_json(os.path.join(outdir, "claims_suite.json"), payload))

@@ -15,6 +15,10 @@ confidence intervals.  A monte-carlo verdict is never "violated" or
 "satisfied" while the interval straddles the threshold; such runs come back
 "inconclusive".  Float probability tables (the branch weights of
 `mwi_joint_distribution`) are tested against a 1e-12 zero tolerance.
+
+The claims suite is `CLAIMS`, seventeen (name, expected verdict, test)
+entries in output order; each test reads the one `ClaimEvidence` that
+`claim_evidence` builds per run.
 """
 
 from __future__ import annotations
@@ -27,9 +31,17 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import circuit, hilbert
+from . import circuit, hilbert, pilotwave
 from . import exact as ex
-from .streams import stream
+from .streams import (
+    IDX_BRANCH,
+    IDX_CONFIGS,
+    IDX_ERASER_A,
+    IDX_ERASER_B,
+    IDX_REPEAT,
+    IDX_SCENARIO,
+    stream,
+)
 
 __all__ = [
     "VIOLATED",
@@ -45,17 +57,22 @@ __all__ = [
     "local_causality_test",
     "mwi_joint_distribution",
     "measurement_independence_test",
+    "trajectory_setting_dependence",
     "no_signaling_test",
     "correlator",
     "correlator_table",
     "chsh_value",
     "chsh_optimize",
+    "chsh_estimate",
     "CHSHResult",
     "LocalModel",
     "local_deterministic_models",
     "local_model_chsh_max",
     "repeatability_test",
     "branch_collapse_equivalence",
+    "ClaimEvidence",
+    "claim_evidence",
+    "CLAIMS",
 ]
 
 VIOLATED = "violated"
@@ -73,6 +90,11 @@ _MAX_STEP_DENOMINATOR = 1 << 12
 # Monte-Carlo "satisfied" additionally requires the CI to rule out anything
 # a tenth that size, else the verdict stays inconclusive
 EQUIVALENCE_MARGIN = 0.05
+# CHSH detector signs: the sum-port detector (2) reads +1, the difference
+# port (1) reads -1
+_SIGNS = {"1": -1, "2": 1}
+_II = (circuit.INTERFERENCE, circuit.INTERFERENCE)
+_IW = (circuit.INTERFERENCE, circuit.WHICHPATH)
 
 
 @dataclass(frozen=True)
@@ -430,6 +452,72 @@ def measurement_independence_test(groups: Mapping, stage: str = "pre_detection")
     )
 
 
+def _left_record(sample: circuit.BohmianSample, i: int) -> tuple:
+    """Run i's left path record: ((layer, label), ...) from layer 0."""
+    return ((0, circuit.PATH_LABELS[sample.labels0[i, 0]]),) + tuple(
+        (int(layer), circuit.PATH_LABELS[labs[i]])
+        for layer, labs in zip(sample.bs_layers["L"], sample.bs_labels["L"])
+    )
+
+
+def trajectory_setting_dependence(
+    n: int,
+    seed: int,
+    stream_index: int = 0,
+    right_acts_first: bool = True,
+    max_examples: int = 3,
+) -> TestReport:
+    """Rerun fixed hidden values with the right arm toggled between settings.
+
+    n equilibrium configurations are drawn from stream (seed, stream_index).
+    The left arm stays an interference arm; for each hidden value the left
+    label records under right = interference and right = whichpath are
+    compared.  The statistic is the changed fraction: nonzero means the
+    left-side hidden path depends on the far setting even though the
+    left-side outcome statistics do not.  `details["examples"]` lists up to
+    `max_examples` changed runs with both left records.
+    """
+    circ_int = circuit.build_eraser(*_II, right_acts_first=right_acts_first)
+    circ_wp = circuit.build_eraser(*_IW, right_acts_first=right_acts_first)
+    a = circuit.sample_bohmian_runs(circ_int, n, seed, stream_index)
+    b = circuit.sample_bohmian_runs(circ_wp, n, seed, hidden=(a.labels0, a.coords0))
+    # the left arm owns the same layer slots under both settings, so the two
+    # left records differ exactly where some left beam-splitter label does
+    changed = np.zeros(n, dtype=bool)
+    for labs_a, labs_b in zip(a.bs_labels["L"], b.bs_labels["L"]):
+        changed |= labs_a != labs_b
+    examples = [
+        {
+            "hidden": {
+                "label_L": circuit.PATH_LABELS[a.labels0[i, 0]],
+                "label_R": circuit.PATH_LABELS[a.labels0[i, 1]],
+                "x_L": float(a.coords0[i, 0]),
+                "x_R": float(a.coords0[i, 1]),
+            },
+            "record_left_interference": _left_record(a, i),
+            "record_left_whichpath": _left_record(b, i),
+        }
+        for i in np.flatnonzero(changed)[:max_examples]
+    ]
+    k = int(changed.sum())
+    lo, hi = wilson_interval(k, n)
+    if k == 0:
+        verdict = SATISFIED
+    elif lo > 0.0:
+        verdict = VIOLATED
+    else:
+        verdict = INCONCLUSIVE
+    return TestReport(
+        test="trajectory_setting_dependence",
+        statistic=k / n,
+        threshold=0.0,
+        verdict=verdict,
+        n=n,
+        mode=MONTE_CARLO,
+        details={"examples": examples, "ci_low": lo, "ci_high": hi},
+    )
+
+
 # ---------------------------------------------------------------------------
 # no-signaling
 
@@ -537,6 +625,12 @@ def correlator_table(thetas_left, thetas_right) -> np.ndarray:
     return ((p[..., 1, 1] - p[..., 1, 0]) - p[..., 0, 1]) + p[..., 0, 0]
 
 
+def _interfering_table(theta_left, theta_right) -> dict:
+    """Exact Born table of the both-arms-interfering eraser."""
+    circ = circuit.build_eraser(*_II, theta_left=theta_left, theta_right=theta_right)
+    return circuit.copenhagen_joint_distribution(circ)
+
+
 def correlator(theta_left, theta_right):
     """Exact E(theta_L, theta_R) with +1 on the sum-port detector, -1 on the
     difference-port detector, both arms interfering.
@@ -544,15 +638,8 @@ def correlator(theta_left, theta_right):
     Takes `exact.pi_times` angles; `correlator_table` gives float values for
     radians.
     """
-    circ = circuit.build_eraser(
-        circuit.INTERFERENCE,
-        circuit.INTERFERENCE,
-        theta_left=theta_left,
-        theta_right=theta_right,
-    )
-    dist = circuit.copenhagen_joint_distribution(circ)
-    signs = {"1": -1, "2": 1}
-    return sum(signs[l[-1]] * signs[r[-1]] * p for (l, r), p in dist.items())
+    dist = _interfering_table(theta_left, theta_right)
+    return sum(_SIGNS[l[-1]] * _SIGNS[r[-1]] * p for (l, r), p in dist.items())
 
 
 def chsh_value(settings: Sequence):
@@ -593,6 +680,23 @@ def chsh_optimize(step: float = np.pi / 32) -> CHSHResult:
     idx = np.unravel_index(int(np.argmax(s)), s.shape)
     angles = tuple(ex.pi_times(frac * int(k)) for k in idx)
     return CHSHResult(float(s[idx]), tuple(float(grid[k]) for k in idx), chsh_value(angles), angles)
+
+
+def chsh_estimate(angles: Sequence, n: int, seed: int, stream_base: int = 0) -> tuple[float, float]:
+    """Monte-Carlo S and its standard error at `exact.pi_times` settings
+    (t1, t2, f1, f2): n outcome pairs per correlator, the k-th term of S
+    drawn from its exact Born table on stream (seed, stream_base + k)."""
+    if n < 2:
+        raise ValueError("the standard error needs at least 2 trials per setting")
+    t1, t2, f1, f2 = angles
+    estimate = 0.0
+    variance = 0.0
+    for k, (tl, tr, sign) in enumerate(((t1, f1, 1), (t1, f2, 1), (t2, f1, 1), (t2, f2, -1))):
+        pairs = sample_outcome_pairs(_interfering_table(tl, tr), n, seed, stream_base + k)
+        values = np.array([_SIGNS[l[-1]] * _SIGNS[r[-1]] for l, r in pairs], dtype=float)
+        estimate += sign * float(values.mean())
+        variance += float(values.var(ddof=1)) / n
+    return estimate, math.sqrt(variance)
 
 
 @dataclass(frozen=True)
@@ -797,3 +901,238 @@ def branch_collapse_equivalence(
             "dimensions": sorted(set(dims)),
         },
     )
+
+
+# ---------------------------------------------------------------------------
+# the claims suite
+
+
+@dataclass(frozen=True)
+class ClaimEvidence:
+    """What the claims read, computed once per suite run."""
+
+    seed: int
+    trials: int
+    tables: dict  # (left, right) setting -> exact Born table of the eraser
+    counts: dict  # the same settings -> Monte-Carlo outcome counts
+    transports: dict  # (left, right, right_acts_first) -> TransportEnumeration
+    chsh: CHSHResult
+    local_max: float  # largest |S| of any local deterministic model
+    local_models: int
+
+
+def claim_evidence(seed: int, trials: int, workers: int = 1) -> ClaimEvidence:
+    """Exact and sampled eraser tables at both far settings, the transport
+    enumeration of every setting pair and time order, and the CHSH optimum
+    against the local models."""
+    circuits = {pair: circuit.build_eraser(*pair) for pair in (_II, _IW)}
+    counts = {
+        pair: circuit.sample_eraser(circuits[pair], trials, seed, workers, base).outcome_counts()
+        for pair, base in ((_II, IDX_ERASER_A), (_IW, IDX_ERASER_B))
+    }
+    transports = {
+        (left, right, first): circuit.enumerate_transport(
+            circuit.build_eraser(left, right, right_acts_first=first)
+        )
+        for left in (circuit.INTERFERENCE, circuit.WHICHPATH)
+        for right in (circuit.INTERFERENCE, circuit.WHICHPATH)
+        for first in (False, True)
+    }
+    models = local_deterministic_models()
+    return ClaimEvidence(
+        seed=seed,
+        trials=trials,
+        tables={pair: circuit.copenhagen_joint_distribution(c) for pair, c in circuits.items()},
+        counts=counts,
+        transports=transports,
+        chsh=chsh_optimize(),
+        local_max=max(local_model_chsh_max(m) for m in models),
+        local_models=len(models),
+    )
+
+
+def _correlation_agreement(ev: ClaimEvidence) -> TestReport:
+    """Largest z-score of a sampled outcome frequency against its Born value."""
+    counts = ev.counts[_II]
+    n = sum(counts.values())
+    max_z = 0.0
+    for pair, p in ev.tables[_II].items():
+        p = float(p)
+        f = counts.get(pair, 0) / n
+        if p <= 0.0 or p >= 1.0:
+            if abs(f - p) > 0.0:
+                max_z = math.inf
+            continue
+        max_z = max(max_z, abs(f - p) / math.sqrt(p * (1.0 - p) / n))
+    return TestReport(
+        test="eraser_correlation_agreement",
+        statistic=max_z,
+        threshold=3.0,
+        verdict=SATISFIED if max_z <= 3.0 else VIOLATED,
+        n=n,
+        mode=MONTE_CARLO,
+        details={"frequencies": {f"{l},{r}": c / n for (l, r), c in sorted(counts.items())}},
+    )
+
+
+def _right_first_transports(ev: ClaimEvidence) -> dict:
+    return {pair: ev.transports[pair + (True,)] for pair in (_II, _IW)}
+
+
+def _transport_equivariance(ev: ClaimEvidence) -> TestReport:
+    """Exact layer-by-layer agreement between transport and Born weights,
+    across all setting pairs and both time orderings."""
+    worst = ex.ZERO
+    checked = 0
+    for enum in ev.transports.values():
+        for (layer_a, dist), (layer_b, ref) in zip(
+            enum.layer_distributions, enum.reference_distributions
+        ):
+            if layer_a != layer_b:
+                raise RuntimeError(f"transport layer {layer_a} paired with Born layer {layer_b}")
+            dev = total_variation(dist, ref)
+            checked += 1
+            if dev > worst:
+                worst = dev
+    return TestReport(
+        test="transport_equivariance",
+        statistic=float(worst),
+        threshold=0.0,
+        verdict=SATISFIED if worst == 0 else VIOLATED,
+        n=0,
+        mode=ANALYTIC,
+        details={"layer_tables_checked": checked, "settings": 4, "orderings": 2},
+    )
+
+
+def _repeatability(ev: ClaimEvidence, collapse: bool) -> TestReport:
+    return repeatability_test(
+        min(ev.trials, 10000),
+        collapse=collapse,
+        seed=ev.seed,
+        stream_index=IDX_REPEAT + (0 if collapse else 1),
+    )
+
+
+def _chsh_local_bound(ev: ClaimEvidence) -> TestReport:
+    return TestReport(
+        test="chsh_local_bound",
+        statistic=ev.local_max,
+        threshold=2.0,
+        verdict=SATISFIED if ev.local_max <= 2.0 + 1e-12 else VIOLATED,
+        n=0,
+        mode=ANALYTIC,
+        details={"models": ev.local_models},
+    )
+
+
+def _chsh_quantum_optimum(ev: ClaimEvidence) -> TestReport:
+    s = ev.chsh.s_value
+    tsirelson = 2.0 * math.sqrt(2.0)
+    quantum_ok = s > 2.0 and abs(s - tsirelson) < 1e-9
+    return TestReport(
+        test="chsh_quantum_optimum",
+        statistic=s,
+        threshold=2.0,
+        verdict=VIOLATED if quantum_ok else INCONCLUSIVE,
+        n=0,
+        mode=ANALYTIC,
+        details={
+            "exact_value": str(ev.chsh.exact_value),
+            "deviation_from_tsirelson": abs(s - tsirelson),
+            "settings": list(ev.chsh.settings),
+        },
+    )
+
+
+def _purity_bookkeeping(ev: ClaimEvidence) -> TestReport:
+    """Unitaries keep global purity; entangling lowers a reduced state's."""
+    # float arithmetic: the purity deviations reported are rounding-level
+    psi = hilbert.StateVector(circuit.joint_space(), circuit.FLOAT_SOURCE.ravel())
+    rho = hilbert.DensityMatrix.from_state(psi)
+    global_before = hilbert.purity(rho)
+    # the both-arms-interfering eraser's beam splitters, left arm first
+    b = circuit.beam_splitter_matrix(np.pi / 4)
+    evolved = rho
+    for arm in "LR":
+        evolved = hilbert.evolve(evolved, circuit._joint_unitary(b, arm))
+    global_after = hilbert.purity(evolved)
+    global_dev = abs(global_after - global_before)
+
+    reduced = hilbert.purity(hilbert.partial_trace(rho, keep=[0]))
+    reduced_dev = abs(reduced - 0.5)
+
+    space = circuit.path_space()
+    product = hilbert.tensor(
+        hilbert.superposition(space, {"1": 1.0, "2": 1.0}), hilbert.basis_state(space, "1")
+    )
+    before = hilbert.purity(hilbert.partial_trace(hilbert.DensityMatrix.from_state(product), [0]))
+    entangled = hilbert.evolve(product, hilbert.cnot_unitary())
+    after = hilbert.purity(hilbert.partial_trace(hilbert.DensityMatrix.from_state(entangled), [0]))
+
+    ok = global_dev <= 1e-12 and reduced_dev <= 1e-12 and after < before - 1e-9
+    return TestReport(
+        test="purity_bookkeeping",
+        statistic=reduced_dev,
+        threshold=1e-12,
+        verdict=SATISFIED if ok else VIOLATED,
+        n=0,
+        mode=ANALYTIC,
+        details={
+            "global_purity_change": global_dev,
+            "reduced_purity": reduced,
+            "product_purity_before_entangler": before,
+            "product_purity_after_entangler": after,
+        },
+    )
+
+
+def _continuum_equivariance(ev: ClaimEvidence) -> TestReport:
+    """KS test of a free Gaussian packet's trajectories against |psi|^2."""
+    grid = pilotwave.GridSpec.make((-16.0, 16.0, 256))
+    profile = pilotwave.GaussianProfile(center=(0.0,), width=(1.0,), momentum=(0.0,))
+    psi0 = pilotwave.init_wavefunction(grid, profile)
+    params = pilotwave.PhysicsParams(masses=(1.0,), potential=pilotwave.free())
+    positions = pilotwave.sample_equilibrium(psi0, 2000, stream(ev.seed, IDX_SCENARIO + 1))
+    run = pilotwave.integrate_trajectories(psi0, params, positions, dt=0.002, steps=500, save_every=500)
+    report = pilotwave.check_equivariance(run)
+    verdict = {"pass": SATISFIED, "fail": VIOLATED, "invalid": INCONCLUSIVE}[report.verdict]
+    return TestReport(
+        test="continuum_equivariance",
+        statistic=float(report.statistic),
+        threshold=float(report.threshold),
+        verdict=verdict,
+        n=report.n,
+        mode=MONTE_CARLO,
+        details={"n_absorbed": report.n_absorbed, "final_time": float(run.times[-1])},
+    )
+
+
+# (claim name, expected verdict, test of a ClaimEvidence), in output order
+CLAIMS: tuple[tuple[str, str, Callable[[ClaimEvidence], TestReport]], ...] = (
+    ("local_causality_eraser_analytic", VIOLATED,
+     lambda ev: local_causality_test(ev.tables[_II], "R1", "L1")),
+    ("local_causality_eraser_monte_carlo", VIOLATED,
+     lambda ev: local_causality_test(ev.counts[_II], "R1", "L1")),
+    ("local_causality_mwi_records", VIOLATED,
+     lambda ev: local_causality_test(mwi_joint_distribution(circuit.build_eraser(*_II)),
+                                     "R1", "L1")),
+    ("no_signaling_eraser_analytic", SATISFIED, lambda ev: no_signaling_test(ev.tables)),
+    ("no_signaling_eraser_monte_carlo", SATISFIED, lambda ev: no_signaling_test(ev.counts)),
+    ("eraser_correlation_agreement", SATISFIED, _correlation_agreement),
+    ("measurement_independence_pre_detection", VIOLATED,
+     lambda ev: measurement_independence_test(_right_first_transports(ev))),
+    ("measurement_independence_initial", SATISFIED,
+     lambda ev: measurement_independence_test(_right_first_transports(ev), stage="initial")),
+    ("trajectory_setting_dependence", VIOLATED,
+     lambda ev: trajectory_setting_dependence(200, ev.seed, IDX_CONFIGS, right_acts_first=True)),
+    ("transport_equivariance", SATISFIED, _transport_equivariance),
+    ("repeatability_with_collapse", SATISFIED, lambda ev: _repeatability(ev, collapse=True)),
+    ("repeatability_without_collapse", VIOLATED, lambda ev: _repeatability(ev, collapse=False)),
+    ("branch_collapse_equivalence", SATISFIED,
+     lambda ev: branch_collapse_equivalence(seed=ev.seed, stream_base=IDX_BRANCH)),
+    ("chsh_local_bound", SATISFIED, _chsh_local_bound),
+    ("chsh_quantum_optimum", VIOLATED, _chsh_quantum_optimum),
+    ("purity_bookkeeping", SATISFIED, _purity_bookkeeping),
+    ("continuum_equivariance", SATISFIED, _continuum_equivariance),
+)

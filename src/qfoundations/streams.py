@@ -11,7 +11,20 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stream"]
+__all__ = [
+    "stream", "IDX_SCENARIO", "IDX_ERASER_A", "IDX_ERASER_B", "IDX_REPEAT", "IDX_CONFIGS",
+    "IDX_BRANCH", "IDX_CHSH",
+]
+
+# The first stream index of each purpose.  A purpose draws from the indices
+# below the next block, so no two consumers share a (seed, index) key.
+IDX_SCENARIO = 0  # grid-scenario ensembles; +1 for the continuum claim
+IDX_ERASER_A = 100  # eraser chunks, one index per chunk (at most 100)
+IDX_ERASER_B = 200  # the second eraser ensemble of the claims suite
+IDX_REPEAT = 300  # repeatability with collapse; +1 without
+IDX_CONFIGS = 400  # hidden configurations of the setting-dependence claim
+IDX_BRANCH = 500  # branch/collapse pairs, one index per pair
+IDX_CHSH = 600  # Monte-Carlo CHSH, one index per correlator
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:

@@ -118,12 +118,12 @@ def test_criterion_05_measurement_independence_violation():
     assert initial.verdict == inference.SATISFIED
     assert initial.statistic == 0.0
 
-    dep = circuit.trajectory_setting_dependence(200, seed=7, stream_index=400,
-                                                right_acts_first=True)
-    assert dep.changed_fraction > 0.0
-    assert len(dep.examples) >= 1
-    for _, rec_int, rec_wp in dep.examples:
-        assert rec_int != rec_wp
+    dep = inference.trajectory_setting_dependence(200, seed=7, stream_index=400,
+                                                  right_acts_first=True)
+    assert dep.statistic > 0.0
+    assert len(dep.details["examples"]) >= 1
+    for example in dep.details["examples"]:
+        assert example["record_left_interference"] != example["record_left_whichpath"]
     assert time.perf_counter() - t0 < 5.0
     _done(5, "hidden records depend on the far setting; initial law does not")
 

@@ -21,7 +21,7 @@ import pytest
 import sympy as sp
 from sympy_oracle import agrees, sympy_angle
 
-from qfoundations import circuit, exact
+from qfoundations import circuit, exact, inference
 
 INT = circuit.INTERFERENCE
 WP = circuit.WHICHPATH
@@ -175,6 +175,16 @@ def test_rejects_detector_before_last_element():
         circuit.CircuitElement(3, "R", "whichpath_detector"),
     )
     with pytest.raises(ValueError, match="last element"):
+        circuit.OpticalCircuit((INT, WP), els, False)
+
+
+def test_rejects_beam_splitter_without_angle():
+    els = (
+        circuit.CircuitElement(1, "L", "beam_splitter"),
+        circuit.CircuitElement(2, "L", "erasure_detector"),
+        circuit.CircuitElement(3, "R", "whichpath_detector"),
+    )
+    with pytest.raises(ValueError, match=r"layer 1, arm L\) has no angle"):
         circuit.OpticalCircuit((INT, WP), els, False)
 
 
@@ -465,20 +475,20 @@ def test_outcome_counts_list_only_occurring_pairs():
 
 
 def test_setting_dependence_right_first_half():
-    report = circuit.trajectory_setting_dependence(400, seed=11, stream_index=2,
-                                                   right_acts_first=True)
+    report = inference.trajectory_setting_dependence(400, seed=11, stream_index=2,
+                                                     right_acts_first=True)
     assert report.n == 400
-    assert abs(report.changed_fraction - 0.5) < 3 * (0.25 / 400) ** 0.5
-    assert 0 < len(report.examples) <= 3
-    for _, rec_int, rec_wp in report.examples:
-        assert rec_int != rec_wp
+    assert abs(report.statistic - 0.5) < 3 * (0.25 / 400) ** 0.5
+    assert 0 < len(report.details["examples"]) <= 3
+    for example in report.details["examples"]:
+        assert example["record_left_interference"] != example["record_left_whichpath"]
 
 
 def test_setting_dependence_vanishes_left_first():
-    report = circuit.trajectory_setting_dependence(200, seed=12, stream_index=2,
-                                                   right_acts_first=False)
-    assert report.changed_fraction == 0.0
-    assert report.examples == ()
+    report = inference.trajectory_setting_dependence(200, seed=12, stream_index=2,
+                                                     right_acts_first=False)
+    assert report.statistic == 0.0
+    assert report.details["examples"] == []
 
 
 def test_equilibrium_configs_on_support_only():

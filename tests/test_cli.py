@@ -232,6 +232,23 @@ def test_free_packet_scenario_small(tmp_path, capsys):
     assert (out / "trajectories.svg").read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eraser", "--theta", "0.3"], "config error at $.theta: 0.3 is not k*pi/q"),
+        (["bell_chsh", "--mode", "montecarlo", "--trials", "1"],
+         "config error at $.trials: 1 is too few"),
+        (["free_packet", "--mode", "analytic"], "scenario free_packet has no analytic mode"),
+    ],
+    ids=["analytic_theta", "montecarlo_chsh_trials", "analytic_grid"],
+)
+def test_refused_run_writes_no_output_directory(tmp_path, capsys, argv, message):
+    out = tmp_path / "refused"
+    assert main(["run", *argv, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_grid_scenario_rejects_analytic_mode(tmp_path, capsys):
     code = main(["run", "free_packet", "--out", str(tmp_path / "x"),
                  "--mode", "analytic"])

@@ -389,6 +389,15 @@ def test_chsh_optimize_reaches_tsirelson():
     assert res.exact_value == 2 * exact.SQRT2
 
 
+def test_chsh_estimate_within_error_of_tsirelson():
+    angles = inference.chsh_optimize().angles
+    estimate, error = inference.chsh_estimate(angles, 4000, seed=5, stream_base=600)
+    assert 0.0 < error < 0.05
+    assert abs(estimate - 2 * math.sqrt(2)) < 5 * error
+    with pytest.raises(ValueError, match="at least 2 trials"):
+        inference.chsh_estimate(angles, 1, seed=5)
+
+
 def test_local_models_capped_at_two():
     models = inference.local_deterministic_models()
     assert len(models) == 14
@@ -466,3 +475,26 @@ def test_branch_collapse_equivalence_threshold_override():
         n_pairs=5, n_samples=2000, seed=3, z_threshold=6.0)
     assert rep.threshold == 6.0
     assert rep.verdict == inference.SATISFIED
+
+
+# ---------------------------------------------------------------------------
+# the claims table
+
+
+def test_claims_table_names_seventeen_unique_claims():
+    names = [name for name, _, _ in inference.CLAIMS]
+    assert len(names) == 17
+    assert len(set(names)) == 17
+
+
+def test_one_claim_runs_alone():
+    evidence = inference.claim_evidence(seed=3, trials=2000)
+    table = {name: (expected, test) for name, expected, test in inference.CLAIMS}
+    for name, mode in (
+        ("transport_equivariance", inference.ANALYTIC),
+        ("repeatability_with_collapse", inference.MONTE_CARLO),
+    ):
+        expected, test = table[name]
+        report = test(evidence)
+        assert report.mode == mode
+        assert report.verdict == expected
