@@ -487,7 +487,10 @@ def _merge_samples(circ, parts) -> BohmianSample:
 
 def sample_eraser(circ, n: int, seed: int, workers: int, base_index: int) -> BohmianSample:
     """`sample_bohmian_runs` over n runs in fixed-size chunks, chunk i drawn
-    from stream (seed, base_index + i), drained by `workers` threads."""
+    from stream (seed, base_index + i), drained by `workers` threads.
+    Fewer than one run raises ValueError."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got n={n}")
     # chunk size depends only on n, so stream indices (and results) are the
     # same no matter how many workers drain the queue
     chunk = max(10000, math.ceil(n / 100))

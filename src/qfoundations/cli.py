@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -36,6 +37,10 @@ EXIT_CLAIMS = 3
 
 # analytic --theta must be k*pi/q with q at most this
 _MAX_THETA_DENOMINATOR = 64
+
+# outcomes.csv rows are converted from numpy and formatted this many at a
+# time, so the writer's memory does not grow with the number of runs
+_CSV_CHUNK_ROWS = 4096
 
 # glibc mallopt parameter M_TOP_PAD, and the heap slack a run keeps
 _M_TOP_PAD = -2
@@ -187,11 +192,12 @@ def _write_json(path: str, payload) -> str:
     return path
 
 
-def _write_csv(path: str, header: list[str], rows) -> str:
+def _write_csv(path: str, header: list[str], row_format: str, rows) -> str:
+    """The header line, then `row_format % row` for each row tuple; the
+    format ends in the newline."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+        fh.writelines(map(row_format.__mod__, rows))
     return path
 
 
@@ -269,6 +275,24 @@ def _enumeration_runs(enum: circuit.TransportEnumeration) -> list[dict]:
     return runs
 
 
+def _outcome_rows(sample: circuit.BohmianSample):
+    """One (run_id, label_L, label_R, x_L, x_R, outcome_L, outcome_R) tuple
+    per run, converted to Python values `_CSV_CHUNK_ROWS` runs at a time."""
+    label = circuit.PATH_LABELS.__getitem__
+
+    def chunk(start):
+        part = slice(start, start + _CSV_CHUNK_ROWS)
+        (lab_l, lab_r), (x_l, x_r), (out_l, out_r) = (
+            a[part].T.tolist() for a in (sample.labels0, sample.coords0, sample.outcomes)
+        )
+        return zip(
+            range(start, start + len(x_l)), map(label, lab_l), map(label, lab_r),
+            x_l, x_r, out_l, out_r,
+        )
+
+    return itertools.chain.from_iterable(map(chunk, range(0, sample.n, _CSV_CHUNK_ROWS)))
+
+
 def _run_eraser(cfg: dict, outdir: str) -> tuple[list[str], bool]:
     files = []
     analytic = cfg["mode"] == "analytic"
@@ -308,6 +332,7 @@ def _run_eraser(cfg: dict, outdir: str) -> tuple[list[str], bool]:
                 _write_csv(
                     os.path.join(outdir, "joint_distribution.csv"),
                     ["left", "right", "probability"],
+                    "%s,%s,%r\n",
                     rows,
                 )
             )
@@ -331,23 +356,12 @@ def _run_eraser(cfg: dict, outdir: str) -> tuple[list[str], bool]:
             _write_json(os.path.join(outdir, "path_records.json"), sample.run_dicts(500))
         )
     if "csv" in cfg["formats"]:
-        rows = (
-            (
-                i,
-                circuit.PATH_LABELS[sample.labels0[i, 0]],
-                circuit.PATH_LABELS[sample.labels0[i, 1]],
-                repr(float(sample.coords0[i, 0])),
-                repr(float(sample.coords0[i, 1])),
-                f"L{sample.outcomes[i, 0]}",
-                f"R{sample.outcomes[i, 1]}",
-            )
-            for i in range(n)
-        )
         files.append(
             _write_csv(
                 os.path.join(outdir, "outcomes.csv"),
                 ["run_id", "label_L", "label_R", "x_L", "x_R", "outcome_L", "outcome_R"],
-                rows,
+                "%d,%s,%s,%r,%r,L%d,R%d\n",
+                _outcome_rows(sample),
             )
         )
     if "svg" in cfg["formats"]:
@@ -466,13 +480,14 @@ def _run_repeatability(cfg: dict, outdir: str) -> tuple[list[str], bool]:
         )
     if "csv" in cfg["formats"]:
         rows = [
-            (r.test, repr(r.statistic), r.verdict, r.n, r.details["collapse"])
+            (r.test, r.statistic, r.verdict, r.n, r.details["collapse"])
             for r in (with_collapse, without_collapse)
         ]
         files.append(
             _write_csv(
                 os.path.join(outdir, "repeatability.csv"),
                 ["test", "statistic", "verdict", "n", "collapse"],
+                "%s,%r,%s,%s,%s\n",
                 rows,
             )
         )
@@ -513,12 +528,12 @@ def _run_bell(cfg: dict, outdir: str) -> tuple[list[str], bool]:
     if "json" in cfg["formats"]:
         files.append(_write_json(os.path.join(outdir, "chsh_result.json"), payload))
     if "csv" in cfg["formats"]:
-        rows = [
-            ("s_max", repr(payload["s_max"])),
-            ("grid_value", repr(payload["grid_value"])),
-            ("local_model_max", repr(payload["local_model_max"])),
-        ]
-        files.append(_write_csv(os.path.join(outdir, "chsh_summary.csv"), ["quantity", "value"], rows))
+        rows = [(key, payload[key]) for key in ("s_max", "grid_value", "local_model_max")]
+        files.append(
+            _write_csv(
+                os.path.join(outdir, "chsh_summary.csv"), ["quantity", "value"], "%s,%r\n", rows
+            )
+        )
     return files, True
 
 
@@ -549,7 +564,7 @@ def _run_claims(cfg: dict, outdir: str) -> tuple[list[str], bool]:
         rows = [
             (
                 c["claim"],
-                repr(c["report"]["statistic"]),
+                c["report"]["statistic"],
                 c["report"]["verdict"],
                 c["expected_verdict"],
                 c["matches"],
@@ -560,6 +575,7 @@ def _run_claims(cfg: dict, outdir: str) -> tuple[list[str], bool]:
             _write_csv(
                 os.path.join(outdir, "claims_summary.csv"),
                 ["claim", "statistic", "verdict", "expected", "matches"],
+                "%s,%r,%s,%s,%s\n",
                 rows,
             )
         )

@@ -25,7 +25,9 @@ check `check_noncrossing` make that testable.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -704,19 +706,19 @@ def export_trajectories_csv(path, run: TrajectoryRun) -> None:
     Rows are written one trajectory at a time, so only one trajectory's text
     is held in memory.
     """
-    cols = ",".join(f"q{d + 1}" for d in range(run.grid.ndim))
+    ndim = run.grid.ndim
+    cols = ",".join(f"q{d + 1}" for d in range(ndim))
+    row_format = "%d,%s" + ",%r" * ndim + "\n"
     times = [repr(t) for t in run.times.tolist()]
     with open(path, "w", newline="\n") as fh:
         fh.write(f"trajectory_id,time,{cols}\n")
         for tid in range(run.n_trajectories):
-            rows = zip(times, run.positions[:, tid].tolist())
-            fh.write("".join(f"{tid},{t},{','.join(map(repr, qs))}\n" for t, qs in rows))
+            rows = zip(itertools.repeat(tid), times, *run.positions[:, tid].T.tolist())
+            fh.writelines(map(row_format.__mod__, rows))
 
 
 def export_wavefunction_csv(directory, run: TrajectoryRun) -> list:
     """One CSV per saved snapshot, named wavefunction_<step>.csv, zero-padded."""
-    import os
-
     if not run.wavefunctions:
         raise ValueError("run kept no wavefunctions")
     paths = []

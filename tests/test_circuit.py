@@ -474,6 +474,12 @@ def test_outcome_counts_list_only_occurring_pairs():
     assert empty.outcome_counts() == Counter()
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_chunked_sampler_refuses_fewer_than_one_run(n):
+    with pytest.raises(ValueError, match=rf"n must be at least 1, got n={n}"):
+        circuit.sample_eraser(circuit.build_eraser(INT, INT), n, 1, 1, 100)
+
+
 def test_setting_dependence_right_first_half():
     report = inference.trajectory_setting_dependence(400, seed=11, stream_index=2,
                                                      right_acts_first=True)

@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 from qfoundations import pilotwave, schemas
-from qfoundations.cli import main
+from qfoundations.cli import _CSV_CHUNK_ROWS, main
 from qfoundations.streams import stream
 
 
@@ -133,6 +133,24 @@ def test_eraser_montecarlo_worker_independence(tmp_path, capsys):
     m2 = json.loads((repeat / "manifest.json").read_text())
     m1["config"].pop("out"), m2["config"].pop("out")
     assert m1 == m2
+
+
+@pytest.mark.parametrize("n", [1, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1])
+def test_eraser_outcomes_csv_whole_at_chunk_edges(n, tmp_path, capsys):
+    out = tmp_path / "mc"
+    code = main(["run", "eraser", "--mode", "montecarlo", "--trials", str(n), "--out", str(out)])
+    assert code == 0
+    capsys.readouterr()
+    raw = (out / "outcomes.csv").read_bytes()
+    assert raw.endswith(b"\n")
+    lines = raw.split(b"\n")[:-1]
+    assert len(lines) == n + 1
+    assert lines[-1].split(b",")[0] == str(n - 1).encode()
+    manifest = json.loads((out / "manifest.json").read_text())
+    for entry in manifest["files"]:
+        blob = (out / entry["path"]).read_bytes()
+        assert entry["sha256"] == hashlib.sha256(blob).hexdigest(), entry["path"]
+        assert entry["bytes"] == len(blob), entry["path"]
 
 
 def test_eraser_setting_flags(tmp_path, capsys):

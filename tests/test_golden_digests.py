@@ -35,6 +35,11 @@ PINS = {
     "eraser_montecarlo": (
         "eraser", ["--mode", "montecarlo", "--trials", "20000", "--format", "json,csv,svg"]
     ),
+    "eraser_montecarlo_one_run": (
+        "eraser", ["--mode", "montecarlo", "--trials", "1", "--format", "json,csv,svg"]
+    ),
+    # one row past a power-of-two chunk, across the sampler's 10 000-run chunks
+    "eraser_montecarlo_chunk_tail": ("eraser", ["--mode", "montecarlo", "--trials", "32769"]),
     "eraser_montecarlo_whichpath_right_first": (
         "eraser",
         [

@@ -498,3 +498,8 @@ def test_one_claim_runs_alone():
         report = test(evidence)
         assert report.mode == mode
         assert report.verdict == expected
+
+
+def test_claim_evidence_refuses_zero_trials():
+    with pytest.raises(ValueError, match=r"n must be at least 1, got n=0"):
+        inference.claim_evidence(seed=3, trials=0)
