@@ -48,6 +48,7 @@ PINS = {
         ],
     ),
     "repeatability": ("repeatability", []),
+    "repeatability_analytic": ("repeatability", ["--mode", "analytic"]),
     "bell_chsh": ("bell_chsh", []),
     "bell_chsh_montecarlo": ("bell_chsh", ["--mode", "montecarlo", "--trials", "20000"]),
     # a six-step grid wins at a pi/12 multiple, whose exact S has the cos form
