@@ -25,11 +25,11 @@ def main():
     circ = circuit.build_eraser(circuit.INTERFERENCE, circuit.INTERFERENCE)
     collapse_view = circuit.copenhagen_joint_distribution(circ)
     branch_view = inference.mwi_joint_distribution(circ)
-    print("eraser joint distribution, collapse vs branching:")
-    for key in sorted(branch_view):
-        print(f"  {key}: {float(collapse_view[key]):.3f} vs {branch_view[key]:.3f}")
-    dev = max(abs(branch_view[k] - float(collapse_view[k])) for k in branch_view)
-    print(f"  max deviation {dev:.2e}\n")
+    print("eraser joint distribution, collapse vs branching (exact):")
+    for key in sorted(collapse_view):
+        print(f"  {key}: {collapse_view[key]} vs {branch_view.get(key, 'no branch')}")
+    nonzero = {k: p for k, p in collapse_view.items() if p != 0}
+    print(f"  branch weights == nonzero collapse probabilities: {branch_view == nonzero}\n")
 
     n = 20_000
     kept = inference.repeatability_test(n, collapse=True, seed=7)

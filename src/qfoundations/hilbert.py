@@ -18,8 +18,9 @@ one.  Both descriptions produce identical statistics, which the test suite
 checks head on.
 
 States built with exact scalars (`exact.Cyclotomic` in an object array) are
-accepted by the linear operations (`tensor`, `evolve`); spectral operations
-(observables, collapse, density matrices) require float states.
+accepted by the linear operations (`tensor`, `evolve`) and by exact
+branching (`branch_joint_distribution`); spectral operations (observables,
+collapse, density matrices) require float states.
 """
 
 from __future__ import annotations
@@ -71,13 +72,14 @@ class ImpossibleOutcomeError(ValueError):
     """Raised when conditioning on an outcome of (numerically) zero probability."""
 
 
-def _norm_sq(amplitudes: np.ndarray) -> float:
+def _norm_sq(amplitudes: np.ndarray):
+    """Squared norm: a float, or the exact sum for an object array."""
     if amplitudes.dtype == np.dtype(object):
         acc = None
         for a in amplitudes.flat:
             term = a.conjugate() * a
             acc = term if acc is None else acc + term
-        return float(acc)
+        return acc
     return float(np.vdot(amplitudes, amplitudes).real)
 
 
@@ -180,7 +182,7 @@ class StateVector:
             amps = np.asarray(amplitudes, dtype=np.complex128)
         if amps.shape != (space.dim,):
             raise ValueError(f"expected {space.dim} amplitudes, got shape {amps.shape}")
-        nrm = np.sqrt(_norm_sq(amps))
+        nrm = np.sqrt(float(_norm_sq(amps)))
         if abs(nrm - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized: |psi| = {nrm!r}")
         amps = amps.copy()
@@ -550,24 +552,24 @@ def branch(state: StateVector, obs: Observable) -> BranchSet:
     return BranchSet(branches)
 
 
-def branch_joint_distribution(state: StateVector, observables: Iterable[Observable]) -> dict:
+def branch_joint_distribution(state: StateVector, observables: Iterable[Mapping]) -> dict:
     """Joint outcome weights from sequential branching, never sampling.
 
-    Measuring the observables one after another and keeping every branch
-    gives a weighted outcome tree; the aggregated leaf weights are returned
-    keyed by outcome tuples.
+    Each observable maps outcomes to projectors (an `Observable`'s, or 0/1
+    integer matrices for exact states).  A leaf keeps the unnormalised
+    relative state P_k ... P_1 psi, weighed by its squared norm: no square
+    root is taken, so exact states get exact weights.  Returns the nonzero
+    leaf weights keyed by outcome tuples.
     """
-    frontier = [(1.0, (), state)]
-    for obs in observables:
-        nxt = []
-        for w, outs, st in frontier:
-            for b in branch(st, obs):
-                nxt.append((w * b.weight, outs + (b.outcome,), b.state))
-        frontier = nxt
-    dist: dict = {}
-    for w, outs, _ in frontier:
-        dist[outs] = dist.get(outs, 0.0) + w
-    return dist
+    frontier = [((), state.amplitudes)]
+    for projectors in observables:
+        frontier = [
+            (outs + (outcome,), p @ amps)
+            for outs, amps in frontier
+            for outcome, p in projectors.items()
+        ]
+    weights = ((outs, _norm_sq(amps)) for outs, amps in frontier)
+    return {outs: w for outs, w in weights if w != 0}
 
 
 class DensityMatrix:

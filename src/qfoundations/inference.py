@@ -8,13 +8,14 @@ immediate second measurement agree), branch/collapse agreement (do branch
 weights match collapse frequencies), and the CHSH combination of
 correlators.  A test runs in one of two modes: analytic, where the tables
 are exact probabilities (`exact.Cyclotomic` scalars from the circuit's
-analytic engine) and verdicts rest on exact zero tests, and monte-carlo,
-where they are `collections.Counter` tables of run counts keyed like the
-analytic tables (n is the sum of the counts) and verdicts rest on 99%
-confidence intervals.  A monte-carlo verdict is never "violated" or
-"satisfied" while the interval straddles the threshold; such runs come back
-"inconclusive".  Float probability tables (the branch weights of
-`mwi_joint_distribution`) are tested against a 1e-12 zero tolerance.
+analytic engine or exact branching) and verdicts rest on exact zero tests,
+and monte-carlo, where they are `collections.Counter` tables of run counts
+keyed like the analytic tables (n is the sum of the counts) and verdicts
+rest on 99% confidence intervals.  A monte-carlo verdict is never
+"violated" or "satisfied" while the interval straddles the threshold; such
+runs come back "inconclusive".  An analytic test refuses float
+probabilities, and a test over several groups refuses a mix of analytic and
+monte-carlo ones, with a TypeError.
 
 The claims suite is `CLAIMS`, seventeen (name, expected verdict, test)
 entries in output order; each test reads the one `ClaimEvidence` that
@@ -23,6 +24,7 @@ entries in output order; each test reads the one `ClaimEvidence` that
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -82,7 +84,6 @@ ANALYTIC = "analytic"
 MONTE_CARLO = "monte-carlo"
 
 Z99 = 2.5758293035489004  # two-sided 99% standard-normal quantile
-_ZERO_TOL = 1e-12  # float stand-in for "exactly zero" in analytic tables
 # largest q of a CHSH grid step k*pi/q that the exact recompute accepts; the
 # float table has (q/2 + 1)**4 entries, so no usable grid comes near it
 _MAX_STEP_DENOMINATOR = 1 << 12
@@ -183,25 +184,25 @@ def _interval_verdict(ci_low: float, ci_high: float, margin: float = EQUIVALENCE
     return INCONCLUSIVE
 
 
-def _is_exact(values) -> bool:
-    return any(isinstance(v, ex.Cyclotomic) for v in values)
+def _require_exact(tables) -> None:
+    bad = [p for table in tables for p in table.values() if not isinstance(p, ex.Cyclotomic)]
+    if bad:
+        raise TypeError(f"analytic tables take exact.Cyclotomic probabilities, not {bad[0]!r}")
 
 
-def _nonzero(value, exact: bool) -> bool:
-    if exact:
-        return value != 0
-    return abs(float(value)) > _ZERO_TOL
+def _monte_carlo(groups: Mapping) -> bool:
+    """Whether every group is a Counter of runs; False when none is."""
+    counted = {isinstance(v, Counter) for v in groups.values()}
+    if len(counted) > 1:
+        kinds = sorted({type(v).__name__ for v in groups.values()})
+        raise TypeError(f"analytic and Monte-Carlo groups were mixed: {kinds}")
+    return counted.pop()
 
 
 def total_variation(d1: Mapping, d2: Mapping):
-    """TV distance between two discrete distributions over a shared key set."""
-    keys = set(d1) | set(d2)
-    exact = _is_exact([d1.get(k, 0) for k in keys] + [d2.get(k, 0) for k in keys])
-    acc = ex.ZERO if exact else 0.0
-    for k in keys:
-        a, b = d1.get(k, 0), d2.get(k, 0)
-        acc = acc + (abs(a - b) if exact else abs(float(a) - float(b)))
-    return acc / 2
+    """TV distance between two discrete distributions over a shared key set;
+    exact for exact tables."""
+    return sum(abs(d1.get(k, 0) - d2.get(k, 0)) for k in set(d1) | set(d2)) / 2
 
 
 def sample_outcome_pairs(joint: Mapping, n: int, seed: int, stream_index: int = 0) -> list:
@@ -229,37 +230,33 @@ def _event_prob(joint: Mapping, event: str):
 def local_causality_test(records, a_event: str, b_event: str) -> TestReport:
     """|P(A | S, B) - P(A | S)| on records sharing one pre-measurement context.
 
-    `records` is either a joint outcome-pair probability table (analytic
-    mode; exact when the probabilities are exact) or a Counter of runs per
-    outcome pair (monte-carlo mode), taken under one initial state and seed.
-    A and B are outcome names from opposite arms; conditioning on a
-    zero-frequency B is an error.
+    `records` is either an exact joint outcome-pair probability table
+    (analytic mode) or a Counter of runs per outcome pair (monte-carlo
+    mode), taken under one initial state and seed.  A and B are outcome
+    names from opposite arms; conditioning on a zero-frequency B is an error.
     """
     if not isinstance(records, Counter):
-        exact = _is_exact(records.values())
+        _require_exact([records])
         pa = _event_prob(records, a_event)
         pb = _event_prob(records, b_event)
         pab = sum(p for pair, p in records.items() if a_event in pair and b_event in pair)
-        if not _nonzero(pb, exact):
+        if pb == 0:
             raise ValueError(f"conditioning event {b_event!r} has probability zero")
         diff = pab / pb - pa
-        violated = _nonzero(diff, exact)
-        details = {
-            "a_event": a_event,
-            "b_event": b_event,
-            "p_a": float(pa),
-            "p_a_given_b": float(pab / pb),
-        }
-        if exact:
-            details["exact_statistic"] = abs(diff)
         return TestReport(
             test="local_causality",
             statistic=abs(float(diff)),
             threshold=0.0,
-            verdict=VIOLATED if violated else SATISFIED,
+            verdict=VIOLATED if diff != 0 else SATISFIED,
             n=0,
             mode=ANALYTIC,
-            details=details,
+            details={
+                "a_event": a_event,
+                "b_event": b_event,
+                "p_a": float(pa),
+                "p_a_given_b": float(pab / pb),
+                "exact_statistic": abs(diff),
+            },
         )
 
     n = sum(records.values())
@@ -295,30 +292,21 @@ def local_causality_test(records, a_event: str, b_event: str) -> TestReport:
 
 
 def mwi_joint_distribution(circ: circuit.OpticalCircuit) -> dict:
-    """Joint detector weights with branching in place of collapse.
+    """Exact joint detector weights with branching in place of collapse.
 
-    The evolved joint state is branched on the left terminal observable and
-    then, inside every branch, on the right one; leaf weights keyed by
-    detector names.  No sampling and no collapse postulate are involved, so
-    agreement with `copenhagen_joint_distribution` is a computed fact, not a
-    restatement.
+    The exact evolved joint state is branched on the left arm's detector
+    projectors and then, inside every branch, on the right arm's; nonzero
+    leaf weights keyed by detector names.  No sampling and no collapse
+    postulate are involved, so agreement with `copenhagen_joint_distribution`
+    is a computed fact, not a restatement.
     """
-    psi = circuit.evolved_state(circ).to_float()
-    observables = []
-    for arm_idx in (0, 1):
-        groups = []
-        for lab_idx in (0, 1):
-            vecs = []
-            for other in (0, 1):
-                v = np.zeros(4)
-                idx = lab_idx * 2 + other if arm_idx == 0 else other * 2 + lab_idx
-                v[idx] = 1.0
-                vecs.append(v)
-            arm = "LR"[arm_idx]
-            name = circuit.outcome_name(circ.settings[arm_idx], arm, lab_idx)
-            groups.append((name, vecs))
-        observables.append(hilbert.Observable.from_eigenbasis(groups))
-    dist = hilbert.branch_joint_distribution(psi, observables)
+    eye = np.eye(2, dtype=int)
+    left, right = circ.settings
+    observables = [
+        {circuit.outcome_name(left, "L", k): np.kron(np.diag(eye[k]), eye) for k in (0, 1)},
+        {circuit.outcome_name(right, "R", k): np.kron(eye, np.diag(eye[k])) for k in (0, 1)},
+    ]
+    dist = hilbert.branch_joint_distribution(circuit.evolved_state(circ), observables)
     return dict(sorted(dist.items()))
 
 
@@ -329,6 +317,8 @@ def mwi_joint_distribution(circ: circuit.OpticalCircuit) -> dict:
 def _mi_analytic(groups: Mapping, stage: str) -> TestReport:
     keys = list(groups)
     enums = [groups[k] for k in keys]
+    if not all(isinstance(e, circuit.TransportEnumeration) for e in enums):
+        raise TypeError("analytic groups must be circuit.TransportEnumeration records")
 
     if stage == "initial":
         dists = [e.initial_label_distribution() for e in enums]
@@ -337,12 +327,7 @@ def _mi_analytic(groups: Mapping, stage: str) -> TestReport:
         dists = [e.record_distribution for e in enums]
         note = "records compared before any terminal detection entry"
 
-    stat = ex.ZERO
-    for i in range(len(dists)):
-        for j in range(i + 1, len(dists)):
-            tv = total_variation(dists[i], dists[j])
-            if tv > stat:
-                stat = tv
+    stat = max(total_variation(a, b) for a, b in itertools.combinations(dists, 2))
 
     details: dict = {
         "settings": [str(k) for k in keys],
@@ -395,16 +380,16 @@ def _arm_record_marginal(enum: circuit.TransportEnumeration, arm: str) -> dict:
 def measurement_independence_test(groups: Mapping, stage: str = "pre_detection") -> TestReport:
     """TV distance between hidden-record laws across measurement settings.
 
-    `groups` maps a setting key to either a TransportEnumeration (analytic,
-    exact) or a Counter of runs per hashable hidden record (monte-carlo).
-    `stage` selects what is compared: "pre_detection" takes the per-run path
-    records (initial labels plus every beam-splitter transit, detector
-    readings excluded), "initial" only the t=0 configuration law.
+    `groups` maps every setting key to a TransportEnumeration (analytic,
+    exact) or every one to a Counter of runs per hashable hidden record
+    (monte-carlo).  `stage` selects what is compared: "pre_detection" takes
+    the per-run path records (initial labels plus every beam-splitter
+    transit, detector readings excluded), "initial" only the t=0
+    configuration law.
     """
     if len(groups) < 2:
         raise ValueError("need records under at least two settings")
-    values = list(groups.values())
-    if all(isinstance(v, circuit.TransportEnumeration) for v in values):
+    if not _monte_carlo(groups):
         return _mi_analytic(groups, stage)
 
     freqs = {}
@@ -532,37 +517,33 @@ def _local_marginal(joint: Mapping, idx: int) -> dict:
 def no_signaling_test(groups: Mapping, side: str = "left") -> TestReport:
     """Max shift of one side's outcome marginal across the far side's settings.
 
-    `groups` maps each remote setting to a joint outcome table (analytic) or
-    a Counter of runs per outcome pair (monte-carlo).
+    `groups` maps every remote setting to an exact joint outcome table
+    (analytic) or every one to a Counter of runs per outcome pair
+    (monte-carlo).
     """
     if len(groups) < 2:
         raise ValueError("need at least two remote settings")
     idx = {"left": 0, "right": 1}[side]
-    values = list(groups.values())
 
-    if not all(isinstance(v, Counter) for v in values):
-        exact = any(_is_exact(v.values()) for v in values)
+    if not _monte_carlo(groups):
+        _require_exact(groups.values())
         margs = {k: _local_marginal(v, idx) for k, v in groups.items()}
-        keys = list(margs)
-        stat = ex.ZERO if exact else 0.0
-        for i in range(len(keys)):
-            for j in range(i + 1, len(keys)):
-                for a in set(margs[keys[i]]) | set(margs[keys[j]]):
-                    p_i, p_j = margs[keys[i]].get(a, 0), margs[keys[j]].get(a, 0)
-                    d = abs(p_i - p_j) if exact else abs(float(p_i) - float(p_j))
-                    if d > stat:
-                        stat = d
-        details = {"marginals": {str(k): {a: float(p) for a, p in m.items()} for k, m in margs.items()}}
-        if exact:
-            details["exact_statistic"] = stat
+        stat = max(
+            abs(mi.get(a, 0) - mj.get(a, 0))
+            for mi, mj in itertools.combinations(margs.values(), 2)
+            for a in mi.keys() | mj.keys()
+        )
         return TestReport(
             test="no_signaling",
             statistic=float(stat),
             threshold=0.0,
-            verdict=VIOLATED if _nonzero(stat, exact) else SATISFIED,
+            verdict=VIOLATED if stat != 0 else SATISFIED,
             n=0,
             mode=ANALYTIC,
-            details=details,
+            details={
+                "marginals": {str(k): {a: float(p) for a, p in m.items()} for k, m in margs.items()},
+                "exact_statistic": stat,
+            },
         )
 
     counts = {key: _local_marginal(table, idx) for key, table in groups.items()}
@@ -745,8 +726,11 @@ def local_model_chsh_max(model: LocalModel, step: float = np.pi / 32) -> float:
 # repeatability
 
 
-def _plus_state() -> hilbert.StateVector:
+def _plus_state(exact: bool) -> hilbert.StateVector:
+    """(|1> + |2>)/sqrt(2), with exact or float amplitudes."""
     space = hilbert.HilbertSpace(circuit.PATH_LABELS)
+    if exact:
+        return hilbert.StateVector(space, np.array([ex.SQRT2 / 2] * 2, dtype=object))
     return hilbert.superposition(space, {"1": 1.0, "2": 1.0})
 
 
@@ -764,26 +748,37 @@ def repeatability_test(
     With `collapse` the second measurement acts on the post-measurement
     state; without it the second outcome is drawn from the original state
     again, which is what dropping the projection postulate would predict.
+    The analytic mode measures the path basis of an exact state, whose Born
+    table comes from exact branching; it takes no `observable`.
     """
     if mode == MONTE_CARLO and n < 1:
         raise ValueError("need at least one trial")
     if state is None:
-        state = _plus_state()
-    if observable is None:
-        observable = hilbert.path_observable(state.space)
+        state = _plus_state(exact=mode == ANALYTIC)
 
     if mode == ANALYTIC:
-        probs = hilbert.born_distribution(state, observable)
-        stat = 0.0 if collapse else float(sum(p * (1.0 - p) for p in probs.values()))
+        if not state.is_exact or observable is not None:
+            raise TypeError("the analytic mode takes an exact state and no observable")
+        labels, eye = state.space.labels, np.eye(state.space.dim, dtype=int)
+        born = hilbert.branch_joint_distribution(state, [dict(zip(labels, map(np.diag, eye)))])
+        probs = {label: born.get((label,), ex.ZERO) for label in labels}
+        stat = ex.ZERO if collapse else sum(p * (1 - p) for p in probs.values())
         return TestReport(
             test="repeatability",
-            statistic=stat,
+            statistic=float(stat),
             threshold=0.0,
-            verdict=SATISFIED if stat <= _ZERO_TOL else VIOLATED,
+            verdict=VIOLATED if stat != 0 else SATISFIED,
             n=0,
             mode=ANALYTIC,
-            details={"collapse": collapse, "outcome_probabilities": probs},
+            details={
+                "collapse": collapse,
+                "outcome_probabilities": {label: float(p) for label, p in probs.items()},
+                "exact_statistic": stat,
+            },
         )
+
+    if observable is None:
+        observable = hilbert.path_observable(state.space)
 
     picks = hilbert.measure_many(state, observable, stream(seed, stream_index), n, collapse=collapse)
     outcomes = observable.outcomes
@@ -1019,7 +1014,7 @@ def _chsh_local_bound(ev: ClaimEvidence) -> TestReport:
         test="chsh_local_bound",
         statistic=ev.local_max,
         threshold=2.0,
-        verdict=SATISFIED if ev.local_max <= 2.0 + 1e-12 else VIOLATED,
+        verdict=SATISFIED if ev.local_max <= 2 else VIOLATED,
         n=0,
         mode=ANALYTIC,
         details={"models": ev.local_models},
@@ -1029,12 +1024,11 @@ def _chsh_local_bound(ev: ClaimEvidence) -> TestReport:
 def _chsh_quantum_optimum(ev: ClaimEvidence) -> TestReport:
     s = ev.chsh.s_value
     tsirelson = 2.0 * math.sqrt(2.0)
-    quantum_ok = s > 2.0 and abs(s - tsirelson) < 1e-9
     return TestReport(
         test="chsh_quantum_optimum",
         statistic=s,
         threshold=2.0,
-        verdict=VIOLATED if quantum_ok else INCONCLUSIVE,
+        verdict=VIOLATED if ev.chsh.exact_value == 2 * ex.SQRT2 else INCONCLUSIVE,
         n=0,
         mode=ANALYTIC,
         details={

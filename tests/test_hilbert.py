@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from qfoundations import hilbert
+from qfoundations import exact, hilbert
 from qfoundations.streams import stream
 
 
@@ -301,17 +301,14 @@ def test_branch_states_orthogonal_under_projectors():
 
 def test_branch_joint_distribution_sequential_tree():
     space = hilbert.HilbertSpace(["1", "2"])
-    joint_space = space.tensor(space)
-    psi = hilbert.superposition(joint_space, {("1", "1"): 1.0, ("2", "2"): 1.0})
-    left = hilbert.Observable(
-        np.diag([0.0, 0.0, 1.0, 1.0]), outcome_labels=["l1", "l2"]
-    )
-    right = hilbert.Observable(
-        np.diag([0.0, 1.0, 0.0, 1.0]), outcome_labels=["r1", "r2"]
-    )
+    r = exact.SQRT2 / 2
+    psi = hilbert.StateVector(space.tensor(space), np.array([r, 0, 0, r], dtype=object))
+    left = {"l1": np.diag([1, 1, 0, 0]), "l2": np.diag([0, 0, 1, 1])}
+    right = {"r1": np.diag([1, 0, 1, 0]), "r2": np.diag([0, 1, 0, 1])}
     dist = hilbert.branch_joint_distribution(psi, [left, right])
+    # the two zero-weight leaves are dropped, the others weigh exactly 1/2
     assert set(dist) == {("l1", "r1"), ("l2", "r2")}
-    assert abs(dist[("l1", "r1")] - 0.5) < 1e-12
+    assert dist[("l1", "r1")] == dist[("l2", "r2")] == sp.Rational(1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -118,12 +118,20 @@ def test_local_causality_analytic_eraser_violated_half():
 
 def test_local_causality_product_table_satisfied():
     # independent outcomes: conditioning moves nothing
-    joint = {
-        (l, r): R(1, 4) for l, r in itertools.product(("L1", "L2"), ("R1", "R2"))
-    }
+    quarter = exact.Cyclotomic.rational(Fraction(1, 4))
+    joint = {(l, r): quarter for l, r in itertools.product(("L1", "L2"), ("R1", "R2"))}
     rep = inference.local_causality_test(joint, "L1", "R1")
     assert rep.verdict == inference.SATISFIED
     assert rep.statistic == 0.0
+    assert rep.details["exact_statistic"] == 0
+
+
+def test_analytic_tests_refuse_float_tables():
+    floats = {k: float(v) for k, v in _exact_eraser().items()}
+    with pytest.raises(TypeError, match="Cyclotomic"):
+        inference.local_causality_test(floats, "L1", "R1")
+    with pytest.raises(TypeError, match="Cyclotomic"):
+        inference.no_signaling_test({"int": _exact_eraser(), "float": floats})
 
 
 def test_local_causality_zero_probability_condition_rejected():
@@ -149,15 +157,13 @@ def test_local_causality_monte_carlo_ladder():
 
 
 def test_mwi_joint_distribution_agrees_with_copenhagen():
-    for left, right in [(INT, INT), (INT, WP), (WP, WP)]:
-        circ = circuit.build_eraser(left, right)
+    for left, right, right_first in itertools.product((INT, WP), (INT, WP), (False, True)):
+        circ = circuit.build_eraser(left, right, right_acts_first=right_first)
         via_branches = inference.mwi_joint_distribution(circ)
         via_collapse = circuit.copenhagen_joint_distribution(circ)
-        # zero-weight outcomes never branch; they must be exact zeros on the
-        # collapse side, and every shared key agrees to floating precision
-        assert set(via_branches) <= set(via_collapse)
-        for key in via_collapse:
-            assert abs(via_branches.get(key, 0.0) - float(via_collapse[key])) < 1e-12
+        # zero-weight outcomes never branch; every other weight agrees exactly
+        assert via_branches == {k: p for k, p in via_collapse.items() if p != 0}
+        assert all(isinstance(p, exact.Cyclotomic) for p in via_branches.values())
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +244,15 @@ def test_mi_monte_carlo_left_record_marginal_invariant():
     assert rep_full.statistic > 0.9
 
 
+def test_mi_refuses_mixed_analytic_and_monte_carlo_groups():
+    groups = {
+        "a": circuit.enumerate_transport(circuit.build_eraser(INT, INT)),
+        "b": Counter([("r",)]),
+    }
+    with pytest.raises(TypeError, match="mixed"):
+        inference.measurement_independence_test(groups)
+
+
 def test_mi_requires_two_groups():
     with pytest.raises(ValueError, match="two settings"):
         inference.measurement_independence_test({"only": Counter([("r",)])})
@@ -259,12 +274,19 @@ def test_no_signaling_analytic_eraser_satisfied():
 
 def test_no_signaling_hand_built_signaling_table_violated():
     groups = {
-        "s1": {("L1", "R1"): R(1, 1)},
-        "s2": {("L2", "R1"): R(1, 1)},
+        "s1": {("L1", "R1"): exact.ONE},
+        "s2": {("L2", "R1"): exact.ONE},
     }
     rep = inference.no_signaling_test(groups, side="left")
     assert rep.verdict == inference.VIOLATED
     assert rep.statistic == 1.0
+    assert rep.details["exact_statistic"] == 1
+
+
+def test_no_signaling_refuses_mixed_analytic_and_monte_carlo_groups():
+    groups = {"a": _exact_eraser(), "b": Counter({("L1", "R1"): 3})}
+    with pytest.raises(TypeError, match="mixed"):
+        inference.no_signaling_test(groups)
 
 
 def test_no_signaling_monte_carlo_ladder():
@@ -418,14 +440,29 @@ def test_repeatability_analytic():
     without = inference.repeatability_test(0, collapse=False, mode=inference.ANALYTIC)
     assert without.verdict == inference.VIOLATED
     assert abs(without.statistic - 0.5) < 1e-15
+    assert without.details["exact_statistic"] == R(1, 2)
+
+
+def test_repeatability_analytic_refuses_float_state_and_any_observable():
+    space = hilbert.HilbertSpace(("1", "2"))
+    with pytest.raises(TypeError, match="exact state"):
+        inference.repeatability_test(
+            0, state=hilbert.basis_state(space, "1"), mode=inference.ANALYTIC)
+    with pytest.raises(TypeError, match="no observable"):
+        inference.repeatability_test(
+            0, observable=hilbert.path_observable(space), mode=inference.ANALYTIC)
 
 
 def test_repeatability_eigenstate_no_flips_either_way():
     space = hilbert.HilbertSpace(("1", "2"))
-    eigen = hilbert.basis_state(space, "1")
+    exact_eigen = hilbert.StateVector(space, np.array([exact.ONE, exact.ZERO], dtype=object))
     analytic = inference.repeatability_test(
-        0, state=eigen, collapse=False, mode=inference.ANALYTIC)
+        0, state=exact_eigen, collapse=False, mode=inference.ANALYTIC)
     assert analytic.verdict == inference.SATISFIED
+    assert analytic.details["exact_statistic"] == 0
+    # the zero-weight outcome is still reported
+    assert analytic.details["outcome_probabilities"] == {"1": 1.0, "2": 0.0}
+    eigen = hilbert.basis_state(space, "1")
     sampled = inference.repeatability_test(2000, state=eigen, collapse=False, seed=2)
     assert sampled.verdict == inference.SATISFIED
     assert sampled.details["differing"] == 0

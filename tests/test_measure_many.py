@@ -3,6 +3,7 @@
 `hilbert.measure` stays the reference: `measure_many` must give the same
 outcome indices as calling it run after run on the same stream, and
 `repeatability_test` the same differing count as the loop it replaced.
+Branching on one observable must give the Born table too.
 States are random, sometimes with zero amplitudes; observables draw
 eigenvalues from a small integer set, so degenerate outcomes are common.
 """
@@ -88,3 +89,14 @@ def test_measure_many_returns_an_empty_table_for_no_runs():
     state = hilbert.superposition(hilbert.HilbertSpace(("1", "2")), {"1": 1.0, "2": 1.0})
     obs = hilbert.path_observable(state.space)
     assert hilbert.measure_many(state, obs, stream(0, 0), 0).shape == (0, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(state_and_observable())
+def test_one_observable_branching_gives_born_weights(pair):
+    state, obs = pair
+    born = hilbert.born_distribution(state, obs)
+    branched = hilbert.branch_joint_distribution(state, [dict(zip(obs.outcomes, obs.projectors))])
+    assert set(branched) <= {(o,) for o in obs.outcomes}
+    for outcome, p in born.items():
+        assert abs(branched.get((outcome,), 0.0) - p) < 1e-12
