@@ -43,17 +43,20 @@ refused, never guessed; a radian angle raises TypeError.  Floats live only
 in the vectorized Monte Carlo kernel `sample_bohmian_runs`, which pushes
 whole ensembles through the circuit as arrays (a single configuration is a
 one-row ensemble passed as `hidden`) and reads each angle as `float(theta)`.
+`sample_eraser` streams a large ensemble through that kernel: it yields
+fixed-size chunks in stream order, drawing at most `workers` ahead, so a
+consumer that folds each chunk in holds O(workers x chunk) runs at any n.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -468,51 +471,37 @@ def sample_bohmian_runs(
     )
 
 
-def _merge_samples(circ, parts) -> BohmianSample:
-    return BohmianSample(
-        circuit=circ,
-        labels0=np.concatenate([p.labels0 for p in parts]),
-        coords0=np.concatenate([p.coords0 for p in parts]),
-        bs_layers=parts[0].bs_layers,
-        bs_labels={
-            arm: tuple(
-                np.concatenate([p.bs_labels[arm][k] for p in parts])
-                for k in range(len(parts[0].bs_layers[arm]))
-            )
-            for arm in ("L", "R")
-        },
-        outcomes=np.concatenate([p.outcomes for p in parts]),
-    )
-
-
-def sample_eraser(circ, n: int, seed: int, workers: int, base_index: int) -> BohmianSample:
+def sample_eraser(circ, n: int, seed: int, workers: int, base_index: int) -> Iterator[BohmianSample]:
     """`sample_bohmian_runs` over n runs in fixed-size chunks, chunk i drawn
-    from stream (seed, base_index + i), drained by `workers` threads.
-    Fewer than one run raises ValueError."""
+    from stream (seed, base_index + i), yielded in that order; `workers`
+    threads draw ahead, at most `workers` chunks at a time.  Fewer than one
+    run raises ValueError here, not at the first chunk."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got n={n}")
     # chunk size depends only on n, so stream indices (and results) are the
-    # same no matter how many workers drain the queue
+    # same no matter how many workers draw them
     chunk = max(10000, math.ceil(n / 100))
-    tasks = []
-    start = 0
-    index = 0
-    while start < n:
-        size = min(chunk, n - start)
-        tasks.append((index, size))
-        start += size
-        index += 1
+    sizes = [min(chunk, n - start) for start in range(0, n, chunk)]
 
-    def work(task):
-        i, size = task
-        return sample_bohmian_runs(circ, size, seed, stream_index=base_index + i)
+    def work(i):
+        return sample_bohmian_runs(circ, sizes[i], seed, stream_index=base_index + i)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(work, tasks))
-    else:
-        parts = [work(t) for t in tasks]
-    return parts[0] if len(parts) == 1 else _merge_samples(circ, parts)
+    if workers <= 1:
+        return map(work, range(len(sizes)))
+    return _drawn_ahead(work, len(sizes), workers)
+
+
+def _drawn_ahead(work, count: int, workers: int) -> Iterator[BohmianSample]:
+    """work(0), ..., work(count - 1) in order, computed on `workers` threads
+    with at most `workers` results submitted and not yet yielded."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        ahead: deque = deque()
+        for i in range(count):
+            ahead.append(pool.submit(work, i))
+            if len(ahead) == workers:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ each file with a sha256 digest; identical (config, seed) reruns are
 byte-identical regardless of worker count, because all randomness flows
 through counter-based streams keyed (seed, purpose index) and Monte-Carlo
 work is split into fixed-size chunks whose streams do not depend on how
-many threads consume them.
+many threads consume them.  The Monte-Carlo eraser folds each chunk into its
+artifacts as it arrives, in stream order, so its memory does not grow with
+the number of runs.
 
 Exit codes: 0 success, 1 usage or config error, 2 runtime failure, 3 claims
 suite verdict mismatch.
@@ -15,13 +17,14 @@ suite verdict mismatch.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import hashlib
-import itertools
 import json
 import math
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -210,13 +213,14 @@ def _write_text(path: str, text: str) -> str:
 def _write_manifest(outdir: str, cfg: dict, files: list[str]) -> str:
     entries = []
     for path in sorted(files):
+        # hashed in blocks, so no artifact is read whole
         with open(path, "rb") as fh:
-            blob = fh.read()
+            digest = hashlib.file_digest(fh, "sha256").hexdigest()
         entries.append(
             {
                 "path": os.path.relpath(path, outdir),
-                "sha256": hashlib.sha256(blob).hexdigest(),
-                "bytes": len(blob),
+                "sha256": digest,
+                "bytes": os.path.getsize(path),
             }
         )
     manifest = {
@@ -275,9 +279,10 @@ def _enumeration_runs(enum: circuit.TransportEnumeration) -> list[dict]:
     return runs
 
 
-def _outcome_rows(sample: circuit.BohmianSample):
-    """One (run_id, label_L, label_R, x_L, x_R, outcome_L, outcome_R) tuple
-    per run, converted to Python values `_CSV_CHUNK_ROWS` runs at a time."""
+def _outcome_rows(sample: circuit.BohmianSample, first_id: int):
+    """The sample's outcomes.csv rows, run ids counted from `first_id`, as
+    one string per `_CSV_CHUNK_ROWS` runs, converted from numpy that many at
+    a time."""
     label = circuit.PATH_LABELS.__getitem__
 
     def chunk(start):
@@ -285,12 +290,13 @@ def _outcome_rows(sample: circuit.BohmianSample):
         (lab_l, lab_r), (x_l, x_r), (out_l, out_r) = (
             a[part].T.tolist() for a in (sample.labels0, sample.coords0, sample.outcomes)
         )
-        return zip(
-            range(start, start + len(x_l)), map(label, lab_l), map(label, lab_r),
-            x_l, x_r, out_l, out_r,
+        rows = zip(
+            range(first_id + start, first_id + start + len(x_l)),
+            map(label, lab_l), map(label, lab_r), x_l, x_r, out_l, out_r,
         )
+        return "".join(map("%d,%s,%s,%r,%r,L%d,R%d\n".__mod__, rows))
 
-    return itertools.chain.from_iterable(map(chunk, range(0, sample.n, _CSV_CHUNK_ROWS)))
+    return map(chunk, range(0, sample.n, _CSV_CHUNK_ROWS))
 
 
 def _run_eraser(cfg: dict, outdir: str) -> tuple[list[str], bool]:
@@ -341,31 +347,39 @@ def _run_eraser(cfg: dict, outdir: str) -> tuple[list[str], bool]:
             files.append(_write_text(os.path.join(outdir, "records.svg"), svg))
         return files, True
 
-    sample = circuit.sample_eraser(circ, cfg["trials"], cfg["seed"], cfg["workers"], IDX_ERASER_A)
-    counts = sample.outcome_counts()
-    n = sample.n
+    # fold each chunk in as it arrives: counts, outcomes.csv rows, and the
+    # first runs of the stream for path_records.json / records.svg
+    formats = cfg["formats"]
+    keep = 500 if "json" in formats else 20 if "svg" in formats else 0
+    counts: Counter = Counter()
+    runs: list[dict] = []
+    n = 0
+    csv_path = os.path.join(outdir, "outcomes.csv")
+    with open(csv_path, "w", newline="\n") if "csv" in formats else contextlib.nullcontext() as csv:
+        if csv:
+            csv.write("run_id,label_L,label_R,x_L,x_R,outcome_L,outcome_R\n")
+        chunks = circuit.sample_eraser(circ, cfg["trials"], cfg["seed"], cfg["workers"], IDX_ERASER_A)
+        for part in chunks:
+            counts.update(part.outcome_counts())
+            if csv:
+                csv.writelines(_outcome_rows(part, n))
+            if len(runs) < keep:
+                runs += part.run_dicts(keep - len(runs))
+            n += part.n
+
     freqs = {pair: c / n for pair, c in counts.items()}
-    if "json" in cfg["formats"]:
+    if "json" in formats:
         files.append(
             _write_json(
                 os.path.join(outdir, "joint_frequencies.json"),
                 _joint_distribution_payload(circ, freqs, "montecarlo", n=n, counts=counts),
             )
         )
-        files.append(
-            _write_json(os.path.join(outdir, "path_records.json"), sample.run_dicts(500))
-        )
-    if "csv" in cfg["formats"]:
-        files.append(
-            _write_csv(
-                os.path.join(outdir, "outcomes.csv"),
-                ["run_id", "label_L", "label_R", "x_L", "x_R", "outcome_L", "outcome_R"],
-                "%d,%s,%s,%r,%r,L%d,R%d\n",
-                _outcome_rows(sample),
-            )
-        )
-    if "svg" in cfg["formats"]:
-        svg = svgplot.render_eraser_records(sample.run_dicts(20))
+        files.append(_write_json(os.path.join(outdir, "path_records.json"), runs))
+    if "csv" in formats:
+        files.append(csv_path)
+    if "svg" in formats:
+        svg = svgplot.render_eraser_records(runs[:20])
         files.append(_write_text(os.path.join(outdir, "records.svg"), svg))
     return files, True
 

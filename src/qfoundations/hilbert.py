@@ -367,22 +367,6 @@ class Observable:
         if not float(np.max(np.abs(total - np.eye(d)))) < 1e-11:
             raise RuntimeError("projectors do not resolve 1")
 
-    @classmethod
-    def from_eigenbasis(cls, groups: Sequence[tuple[object, Sequence]]) -> "Observable":
-        """Observable with eigenvalue k on the span of the k-th vector group.
-
-        `groups` is an ordered sequence of (outcome label, vectors); the
-        vectors must form an orthonormal set overall.
-        """
-        vecs = [np.asarray(v, dtype=np.complex128) for _, vs in groups for v in vs]
-        d = vecs[0].shape[0]
-        m = np.zeros((d, d), dtype=np.complex128)
-        for k, (_, vs) in enumerate(groups):
-            for v in vs:
-                v = np.asarray(v, dtype=np.complex128)
-                m += k * np.outer(v, v.conj())
-        return cls(m, outcome_labels=[label for label, _ in groups])
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]

@@ -205,8 +205,8 @@ def total_variation(d1: Mapping, d2: Mapping):
     return sum(abs(d1.get(k, 0) - d2.get(k, 0)) for k in set(d1) | set(d2)) / 2
 
 
-def sample_outcome_pairs(joint: Mapping, n: int, seed: int, stream_index: int = 0) -> list:
-    """Draw n outcome pairs from a joint probability table, deterministically."""
+def _draw_outcomes(joint: Mapping, n: int, seed: int, stream_index: int) -> tuple[list, np.ndarray]:
+    """The table's keys in sorted order, and n draws as indices into them."""
     items = sorted(joint.items())
     keys = [k for k, _ in items]
     probs = np.array([float(p) for _, p in items])
@@ -215,7 +215,12 @@ def sample_outcome_pairs(joint: Mapping, n: int, seed: int, stream_index: int = 
     cum = np.cumsum(probs)
     cum[-1] = 1.0
     rng = stream(seed, stream_index)
-    draws = np.searchsorted(cum, rng.random(n), side="right")
+    return keys, np.searchsorted(cum, rng.random(n), side="right")
+
+
+def sample_outcome_pairs(joint: Mapping, n: int, seed: int, stream_index: int = 0) -> list:
+    """Draw n outcome pairs from a joint probability table, deterministically."""
+    keys, draws = _draw_outcomes(joint, n, seed, stream_index)
     return [keys[i] for i in draws]
 
 
@@ -673,8 +678,9 @@ def chsh_estimate(angles: Sequence, n: int, seed: int, stream_base: int = 0) -> 
     estimate = 0.0
     variance = 0.0
     for k, (tl, tr, sign) in enumerate(((t1, f1, 1), (t1, f2, 1), (t2, f1, 1), (t2, f2, -1))):
-        pairs = sample_outcome_pairs(_interfering_table(tl, tr), n, seed, stream_base + k)
-        values = np.array([_SIGNS[l[-1]] * _SIGNS[r[-1]] for l, r in pairs], dtype=float)
+        keys, draws = _draw_outcomes(_interfering_table(tl, tr), n, seed, stream_base + k)
+        signs = np.array([_SIGNS[l[-1]] * _SIGNS[r[-1]] for l, r in keys], dtype=float)
+        values = signs[draws]
         estimate += sign * float(values.mean())
         variance += float(values.var(ddof=1)) / n
     return estimate, math.sqrt(variance)
@@ -921,10 +927,11 @@ def claim_evidence(seed: int, trials: int, workers: int = 1) -> ClaimEvidence:
     enumeration of every setting pair and time order, and the CHSH optimum
     against the local models."""
     circuits = {pair: circuit.build_eraser(*pair) for pair in (_II, _IW)}
-    counts = {
-        pair: circuit.sample_eraser(circuits[pair], trials, seed, workers, base).outcome_counts()
-        for pair, base in ((_II, IDX_ERASER_A), (_IW, IDX_ERASER_B))
-    }
+    counts: dict = {}
+    for pair, base in ((_II, IDX_ERASER_A), (_IW, IDX_ERASER_B)):
+        counts[pair] = Counter()
+        for part in circuit.sample_eraser(circuits[pair], trials, seed, workers, base):
+            counts[pair].update(part.outcome_counts())
     transports = {
         (left, right, first): circuit.enumerate_transport(
             circuit.build_eraser(left, right, right_acts_first=first)

@@ -6,13 +6,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import jsonschema
 import pytest
 
-from qfoundations import pilotwave, schemas
+from qfoundations import circuit, pilotwave, schemas
 from qfoundations.cli import _CSV_CHUNK_ROWS, main
-from qfoundations.streams import stream
+from qfoundations.streams import IDX_ERASER_A, stream
 
 
 def _validate(path, schema_name):
@@ -151,6 +152,60 @@ def test_eraser_outcomes_csv_whole_at_chunk_edges(n, tmp_path, capsys):
         blob = (out / entry["path"]).read_bytes()
         assert entry["sha256"] == hashlib.sha256(blob).hexdigest(), entry["path"]
         assert entry["bytes"] == len(blob), entry["path"]
+
+
+@pytest.mark.parametrize("n", [10000, 10001, 32769])
+def test_eraser_montecarlo_digests_do_not_depend_on_workers(n, tmp_path, capsys):
+    # n sits at the sampler's 10 000-run chunk edges
+    digests = {}
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}"
+        code = main(["run", "eraser", "--mode", "montecarlo", "--trials", str(n), "--seed", "3",
+                     "--format", "json,csv,svg", "--workers", str(workers), "--out", str(out)])
+        assert code == 0
+        digests[workers] = json.loads((out / "manifest.json").read_text())["files"]
+    capsys.readouterr()
+    assert len(digests[1]) == 4
+    assert digests[1] == digests[2] == digests[3]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_eraser_montecarlo_failing_chunk_exits_two_without_manifest(
+    workers, tmp_path, capsys, monkeypatch
+):
+    draw = circuit.sample_bohmian_runs
+
+    def second_chunk_fails(*args, stream_index, **kwargs):
+        if stream_index == IDX_ERASER_A + 1:
+            raise RuntimeError("second chunk failed")
+        return draw(*args, stream_index=stream_index, **kwargs)
+
+    monkeypatch.setattr(circuit, "sample_bohmian_runs", second_chunk_fails)
+    out = tmp_path / "mc"
+    code = main(["run", "eraser", "--mode", "montecarlo", "--trials", "30000",
+                 "--workers", str(workers), "--out", str(out)])
+    assert code == 2
+    assert "runtime failure: RuntimeError: second chunk failed" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_eraser_montecarlo_memory_does_not_grow_with_runs(tmp_path, capsys):
+    def traced_peak(n):
+        args = ["run", "eraser", "--mode", "montecarlo", "--trials", str(n),
+                "--out", str(tmp_path / str(n))]
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # a first run keeps imports and one-time caches out of both peaks
+    traced_peak(10)
+    # both sizes draw 10 000-run chunks; only the number of chunks differs
+    small, large = traced_peak(100_000), traced_peak(250_000)
+    capsys.readouterr()
+    assert large <= 1.1 * small, (small, large)
 
 
 def test_eraser_setting_flags(tmp_path, capsys):

@@ -47,16 +47,11 @@ def _bell_state():
 
 
 def _left_pm_observable():
+    # eigenvalue 0 on |-> x anything (outcome L1), 1 on |+> x anything (L2)
     s = 1 / math.sqrt(2)
-    minus = np.array([s, -s])
     plus = np.array([s, s])
-    e = np.eye(2)
-    return hilbert.Observable.from_eigenbasis(
-        [
-            ("L1", [np.kron(minus, e[0]), np.kron(minus, e[1])]),
-            ("L2", [np.kron(plus, e[0]), np.kron(plus, e[1])]),
-        ]
-    )
+    matrix = np.kron(np.outer(plus, plus), np.eye(2))
+    return hilbert.Observable(matrix, outcome_labels=["L1", "L2"])
 
 
 # ---------------------------------------------------------------------------
