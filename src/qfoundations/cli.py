@@ -355,17 +355,23 @@ def _run_eraser(cfg: dict, outdir: str) -> tuple[list[str], bool]:
     runs: list[dict] = []
     n = 0
     csv_path = os.path.join(outdir, "outcomes.csv")
-    with open(csv_path, "w", newline="\n") if "csv" in formats else contextlib.nullcontext() as csv:
-        if csv:
-            csv.write("run_id,label_L,label_R,x_L,x_R,outcome_L,outcome_R\n")
-        chunks = circuit.sample_eraser(circ, cfg["trials"], cfg["seed"], cfg["workers"], IDX_ERASER_A)
-        for part in chunks:
-            counts.update(part.outcome_counts())
+    try:
+        with open(csv_path, "w", newline="\n") if "csv" in formats else contextlib.nullcontext() as csv:
             if csv:
-                csv.writelines(_outcome_rows(part, n))
-            if len(runs) < keep:
-                runs += part.run_dicts(keep - len(runs))
-            n += part.n
+                csv.write("run_id,label_L,label_R,x_L,x_R,outcome_L,outcome_R\n")
+            chunks = circuit.sample_eraser(circ, cfg["trials"], cfg["seed"], cfg["workers"], IDX_ERASER_A)
+            for part in chunks:
+                counts.update(part.outcome_counts())
+                if csv:
+                    csv.writelines(_outcome_rows(part, n))
+                if len(runs) < keep:
+                    runs += part.run_dicts(keep - len(runs))
+                n += part.n
+    except BaseException:
+        # a chunk that fails mid-stream must not leave a truncated table behind
+        if "csv" in formats and os.path.exists(csv_path):
+            os.remove(csv_path)
+        raise
 
     freqs = {pair: c / n for pair, c in counts.items()}
     if "json" in formats:

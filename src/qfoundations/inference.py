@@ -821,6 +821,123 @@ def repeatability_test(
 # ---------------------------------------------------------------------------
 # branch weights vs collapse frequencies
 
+# Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989), ported line for line: the coefficients (each Q with its
+# implicit leading 1.0 written out) and the evaluation order are unchanged,
+# so the quantiles agree bit for bit with the C routine
+_S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
+_EXPM2 = 0.13533528323661269189  # exp(-2)
+# 0 <= |p - 0.5| <= 3/8
+_NDTRI_P0 = (
+    -5.99633501014107895267e1,
+    9.80010754185999661536e1,
+    -5.66762857469070293439e1,
+    1.39312609387279679503e1,
+    -1.23916583867381258016e0,
+)
+_NDTRI_Q0 = (
+    1.0,
+    1.95448858338141759834e0,
+    4.67627912898881538453e0,
+    8.63602421390890590575e1,
+    -2.25462687854119370527e2,
+    2.00260212380060660359e2,
+    -8.20372256168333339912e1,
+    1.59056225126211695515e1,
+    -1.18331621121330003142e0,
+)
+# z = sqrt(-2 log y) in [2, 8): y between exp(-32) and exp(-2)
+_NDTRI_P1 = (
+    4.05544892305962419923e0,
+    3.15251094599893866154e1,
+    5.71628192246421288162e1,
+    4.40805073893200834700e1,
+    1.46849561928858024014e1,
+    2.18663306850790267539e0,
+    -1.40256079171354495875e-1,
+    -3.50424626827848203418e-2,
+    -8.57456785154685413611e-4,
+)
+_NDTRI_Q1 = (
+    1.0,
+    1.57799883256466749731e1,
+    4.53907635128879210584e1,
+    4.13172038254672030440e1,
+    1.50425385692907503408e1,
+    2.50464946208309415979e0,
+    -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2,
+    -9.33259480895457427372e-4,
+)
+# z in [8, 64): y between exp(-2048) and exp(-32)
+_NDTRI_P2 = (
+    3.23774891776946035970e0,
+    6.91522889068984211695e0,
+    3.93881025292474443415e0,
+    1.33303460815807542389e0,
+    2.01485389549179081538e-1,
+    1.23716634817820021358e-2,
+    3.01581553508235416007e-4,
+    2.65806974686737550832e-6,
+    6.23974539184983293730e-9,
+)
+_NDTRI_Q2 = (
+    1.0,
+    6.02427039364742014255e0,
+    3.67983563856160859403e0,
+    1.37702099489081330271e0,
+    2.16236993594496635890e-1,
+    1.34204006088543189037e-2,
+    3.28014464682127739104e-4,
+    2.89247864745380683936e-6,
+    6.79019408009981274425e-9,
+)
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    """Horner's rule, highest power first; a leading 1.0 gives Cephes's
+    p1evl, since 1.0 * x + c rounds exactly as x + c."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(p: float) -> float:
+    """The standard-normal quantile: x with Phi(x) = p."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"ndtri needs 0 <= p <= 1, got p={p!r}")
+    if p == 0.0:
+        return -math.inf
+    if p == 1.0:
+        return math.inf
+    lower = True
+    y = p
+    if y > 1.0 - _EXPM2:
+        y = 1.0 - y
+        lower = False
+    if y > _EXPM2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))
+        return x * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1)
+    else:
+        x1 = z * _polevl(z, _NDTRI_P2) / _polevl(z, _NDTRI_Q2)
+    x = x0 - x1
+    return -x if lower else x
+
+
+def _draw_counts(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """How many uniforms `u` fall on each outcome of the cumulative weights
+    `cum` (with cum[-1] = 1.0): outcome k is drawn when cum[k-1] <= u <
+    cum[k], so #{draw <= k} = #{u < cum[k]}."""
+    return np.diff([np.count_nonzero(u < c) for c in cum], prepend=0)
+
 
 def branch_collapse_equivalence(
     n_pairs: int = 50,
@@ -867,8 +984,7 @@ def branch_collapse_equivalence(
         pvec = np.array([weights[o] for o in outcomes])
         cum = np.cumsum(pvec)
         cum[-1] = 1.0
-        draws = np.searchsorted(cum, rng.random(n_samples), side="right")
-        counts = np.bincount(draws, minlength=len(outcomes))
+        counts = _draw_counts(cum, rng.random(n_samples))
         for k, o in enumerate(outcomes):
             w = pvec[k]
             if w <= 1e-9 or w >= 1.0 - 1e-9:
@@ -882,9 +998,7 @@ def branch_collapse_equivalence(
     # the verdict compares the max |z| over all frequency comparisons, so the
     # threshold must grow with their number; Bonferroni at family level 1%
     if z_threshold is None:
-        from scipy.special import ndtri
-
-        z_threshold = float(ndtri(1.0 - 0.01 / (2.0 * max(comparisons, 1))))
+        z_threshold = _ndtri(1.0 - 0.01 / (2.0 * max(comparisons, 1)))
     ok = max_weight_dev <= 1e-12 and max_z <= z_threshold
     return TestReport(
         test="branch_collapse_equivalence",

@@ -187,6 +187,8 @@ def test_eraser_montecarlo_failing_chunk_exits_two_without_manifest(
     assert code == 2
     assert "runtime failure: RuntimeError: second chunk failed" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+    # the first chunk's rows were written before the failure; none may remain
+    assert not (out / "outcomes.csv").exists()
 
 
 def test_eraser_montecarlo_memory_does_not_grow_with_runs(tmp_path, capsys):

@@ -3,7 +3,8 @@
 Criterion 11 only proves that one build agrees with itself; these pins make
 a refactor that changes any emitted byte fail loudly.  `manifest.json` is
 left out because it records the output directory.  Every pin runs with
-sympy made unimportable: sympy is a test-only oracle, never a runtime need.
+sympy and scipy made unimportable: both are test-only oracles, never a
+runtime need.
 
 The digests hold for the numpy version recorded in `generated_with`; FFT
 and SIMD rounding may move the last bits of a correct build on another
@@ -81,8 +82,16 @@ def _golden():
         return json.load(fh)
 
 
+def _block(monkeypatch, package):
+    # a cached submodule would bypass a blocked parent, so block those too
+    for name in [n for n in sys.modules if n.startswith(package + ".")]:
+        monkeypatch.setitem(sys.modules, name, None)
+    monkeypatch.setitem(sys.modules, package, None)
+
+
 def _check(pin, tmp_path, capsys, monkeypatch):
-    monkeypatch.setitem(sys.modules, "sympy", None)
+    _block(monkeypatch, "sympy")
+    _block(monkeypatch, "scipy")
     golden = _golden()
     pinned_numpy = golden["generated_with"]["numpy"]
     if np.__version__ != pinned_numpy:

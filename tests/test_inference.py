@@ -17,6 +17,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfoundations import circuit, exact, hilbert, inference
 
@@ -505,6 +507,22 @@ def test_branch_collapse_equivalence_fixed_seed_within_three_sigma():
     assert rep.details["beyond_three_sigma"] == 0
     assert min(rep.details["dimensions"]) >= 2
     assert max(rep.details["dimensions"]) <= 8
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=8)
+    .filter(lambda w: sum(w) > 0.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_draw_counts_match_searchsorted_reference(weights, seed):
+    cum = np.cumsum(np.array(weights) / sum(weights))
+    cum[-1] = 1.0
+    # ties with every cumulative edge, 0.0 and the largest double below 1.0
+    u = np.concatenate([np.random.default_rng(seed).random(500), cum, [0.0, np.nextafter(1.0, 0.0)]])
+    u = u[u < 1.0]
+    reference = np.bincount(np.searchsorted(cum, u, side="right"), minlength=len(cum))
+    np.testing.assert_array_equal(inference._draw_counts(cum, u), reference)
 
 
 def test_branch_collapse_equivalence_threshold_override():
