@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import hashlib
 import json
 import math
@@ -44,10 +43,6 @@ _MAX_THETA_DENOMINATOR = 64
 # outcomes.csv rows are converted from numpy and formatted this many at a
 # time, so the writer's memory does not grow with the number of runs
 _CSV_CHUNK_ROWS = 4096
-
-# glibc mallopt parameter M_TOP_PAD, and the heap slack a run keeps
-_M_TOP_PAD = -2
-_HEAP_TOP_PAD = 16 << 20
 
 _COMMON_DEFAULTS = {
     "seed": 7,
@@ -681,29 +676,8 @@ _SCENARIOS = {
 # verbs
 
 
-def _keep_freed_heap() -> None:
-    """Have glibc keep 16 MB of freed heap instead of returning it at once.
-
-    Each pilot-wave step allocates and frees about 1 MB of numpy temporaries
-    of 80 KB each.  On a small heap, glibc's default 128 KB trim threshold
-    hands them back to the OS every step and faults them in again: about
-    300 page faults per step, a third of `free_packet`'s run time.  Other
-    platforms are left alone.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
-
-
 def _cmd_run(args) -> int:
     cfg = _merge_config(args)
-    _keep_freed_heap()
     outdir = cfg["out"]
     try:
         os.makedirs(outdir, exist_ok=True)

@@ -17,6 +17,17 @@ Density and the velocity numerator are interpolated bilinearly between grid
 nodes; the denominator is floored at 1e-12 of the density maximum so node
 neighborhoods cannot produce infinities.
 
+The wave function does not depend on the particles, so the integrator
+advances it a block of steps ahead: the Strang half steps fill the rows of
+a preallocated block in sequence, and one batched pass then computes every
+row's norm check, density, velocity numerators (one FFT pair per axis over
+all rows) and density floor.  The particles then take those steps in a
+fixed workspace: one interpolation kernel, shared with `velocity_field`,
+gathers each cell corner of every field with one `take`, and the RK4 stages
+combine through `out=` buffers in the order the formulas are written.  A
+step allocates no ensemble-sized memory, and the results are bit for bit
+those of advancing, evaluating and combining one step at a time.
+
 An ensemble drawn from |psi|^2 (inverse-CDF over grid cells plus uniform
 jitter inside a cell) stays |psi|^2-distributed under this flow; the
 Kolmogorov-Smirnov check `check_equivariance` and the 1D order-preservation
@@ -25,7 +36,6 @@ check `check_noncrossing` make that testable.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -35,7 +45,6 @@ import numpy as np
 
 __all__ = [
     "GRID_NORM_TOL",
-    "NORM_DRIFT_TOL",
     "NODE_EPS_FACTOR",
     "NormDriftError",
     "GridAxis",
@@ -63,13 +72,19 @@ __all__ = [
 ]
 
 GRID_NORM_TOL = 1e-10
-NORM_DRIFT_TOL = 1e-8
 NODE_EPS_FACTOR = 1e-12
 LEAKAGE_TOL = 1e-6
 
+# grid values per wave-side block: a block advances the wave function by
+# max(1, _BLOCK_POINTS // grid size) steps before the particles take them
+_BLOCK_POINTS = 1 << 13
+
+# numpy's threshold for evaluating `a * temporary` in the temporary's memory
+_ELIDE_BYTES = 256 * 1024
+
 
 class NormDriftError(ValueError):
-    """The evolved wave function lost unit norm beyond NORM_DRIFT_TOL."""
+    """An evolved wave-function snapshot is off unit norm beyond GRID_NORM_TOL."""
 
 
 @dataclass(frozen=True)
@@ -308,14 +323,26 @@ def _check_dt(grid: GridSpec, params: PhysicsParams, vgrid: np.ndarray, dt: floa
 
 def _strang_step(grid: GridSpec, params: PhysicsParams, vgrid: np.ndarray, h: float):
     """One Strang splitting step of size h (half kick, drift, half kick), as a
-    function of the grid values."""
+    function that writes the advanced grid values into `out`.
+
+    `values` is read only before `out` is written, so `out` may be `values`.
+    """
     exp_v_half = np.exp(-0.5j * h * vgrid)
     exp_k = np.exp(-1j * h * _kinetic_grid(grid, params.masses))
+    kicked = np.empty(grid.shape, dtype=np.complex128)
+    spectrum = np.empty_like(kicked)
+    # The drift's bits are those of `exp_k * fftn(v)`, which numpy evaluates
+    # in place as `fftn(v) * exp_k` once the transform is 256 KiB or larger
+    # (temporary elision).  Complex products can round differently with the
+    # operands swapped, so each grid size keeps the order that expression gets.
+    drift = (spectrum, exp_k) if spectrum.nbytes >= _ELIDE_BYTES else (exp_k, spectrum)
 
-    def step(values: np.ndarray) -> np.ndarray:
-        v = exp_v_half * values
-        v = np.fft.ifftn(exp_k * np.fft.fftn(v))
-        return exp_v_half * v
+    def step(values: np.ndarray, out: np.ndarray) -> None:
+        np.multiply(exp_v_half, values, out=kicked)
+        np.fft.fftn(kicked, out=spectrum)
+        np.multiply(*drift, out=spectrum)
+        np.fft.ifftn(spectrum, out=kicked)
+        np.multiply(exp_v_half, kicked, out=out)
 
     return step
 
@@ -328,86 +355,153 @@ def step_schrodinger(
     vgrid = params.potential.values(grid, params.masses)
     _check_dt(grid, params, vgrid, dt)
     step = _strang_step(grid, params, vgrid, dt)
-    v = psi.values
+    v = psi.values.copy()
     for _ in range(steps):
-        v = step(v)
+        step(v, out=v)
     return GridWavefunction(grid, v, time=psi.time + dt * steps)
 
 
-def _flow_fields(psi: GridWavefunction, params: PhysicsParams):
-    """Cache density and velocity-numerator grids for one snapshot."""
-    grid = psi.grid
-    v = psi.values
-    rho = np.abs(v) ** 2
-    ks = _wavenumbers(grid)
-    nums = []
-    for axis_idx, (k, m) in enumerate(zip(ks, params.masses)):
-        shape = [1] * grid.ndim
-        shape[axis_idx] = k.size
-        grad = np.fft.ifft(1j * k.reshape(shape) * np.fft.fft(v, axis=axis_idx), axis=axis_idx)
-        nums.append(np.imag(np.conj(v) * grad) / m)
-    eps = NODE_EPS_FACTOR * float(rho.max())
-    return rho, nums, eps
+class _FlowBlock:
+    """Rows of grid wave functions and their flow fields, computed together.
 
-
-def _cells(grid: GridSpec, positions: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Flat corner indices and weights of positions (n, d) for `_interpolate`.
-
-    Computed once per set of positions and shared by every field sampled
-    there.  The weights are the bilinear (linear in 1D) factors in the order
-    the interpolation sums them.
+    Row r of `fields` holds |psi|^2 and then one velocity numerator
+    Im(psi* dpsi/dq_k) / m_k per axis, each with the grid's shape; `eps` holds
+    the density floor NODE_EPS_FACTOR * max |psi|^2 and `norms` the discrete
+    L2 norm of each row.  A batched FFT, sum or maximum over rows gives every
+    row the bits of the same call on that row alone.
     """
-    idx = []
-    frac = []
-    for d, axis in enumerate(grid.axes):
-        u = (positions[:, d] - axis.qmin) / axis.dq
-        u = np.clip(u, 0.0, axis.npoints - 1 - 1e-12)
-        fl = np.floor(u)
-        idx.append(fl.astype(np.intp))
-        frac.append(u - fl)
-    if grid.ndim == 1:
-        i, w = idx[0], frac[0]
-        return [(i, 1.0 - w), (i + 1, w)]
-    i, j = idx
-    wx, wy = frac
-    ny = grid.axes[1].npoints
-    k = i * ny + j
-    return [
-        (k, (1.0 - wx) * (1.0 - wy)),
-        (k + ny, wx * (1.0 - wy)),
-        (k + 1, (1.0 - wx) * wy),
-        (k + ny + 1, wx * wy),
-    ]
+
+    def __init__(self, grid: GridSpec, params: PhysicsParams, rows: int):
+        shape = (rows, *grid.shape)
+        self.grid = grid
+        self.masses = params.masses
+        self.values = np.empty(shape, dtype=np.complex128)
+        self.fields = np.empty((rows, 1 + grid.ndim, *grid.shape))
+        self.eps = np.empty(rows)
+        self.norms = np.empty(rows)
+        self._spectrum = np.empty(shape, dtype=np.complex128)
+        self._grad = np.empty(shape, dtype=np.complex128)
+        self._ik = []
+        for axis_idx, k in enumerate(_wavenumbers(grid)):
+            kshape = [1] * grid.ndim
+            kshape[axis_idx] = k.size
+            self._ik.append(1j * k.reshape(kshape))
+
+    def compute(self, lo: int, hi: int) -> None:
+        """Fill fields, eps and norms of rows lo..hi-1 from their values."""
+        grid_axes = tuple(range(1, self.grid.ndim + 1))
+        v = self.values[lo:hi]
+        spectrum = self._spectrum[lo:hi]
+        grad = self._grad[lo:hi]
+        rho = self.fields[lo:hi, 0]
+        np.abs(v, out=rho)
+        np.square(rho, out=rho)
+        norms = self.norms[lo:hi]
+        np.sum(rho, axis=grid_axes, out=norms)
+        np.multiply(norms, self.grid.cell_volume, out=norms)
+        np.sqrt(norms, out=norms)
+        eps = self.eps[lo:hi]
+        np.max(rho, axis=grid_axes, out=eps)
+        np.multiply(eps, NODE_EPS_FACTOR, out=eps)
+        for axis_idx, (ik, m) in enumerate(zip(self._ik, self.masses)):
+            np.fft.fft(v, axis=1 + axis_idx, out=spectrum)
+            np.multiply(ik, spectrum, out=spectrum)
+            np.fft.ifft(spectrum, axis=1 + axis_idx, out=grad)
+            np.conjugate(v, out=spectrum)
+            np.multiply(spectrum, grad, out=grad)
+            np.divide(grad.imag, m, out=self.fields[lo:hi, 1 + axis_idx])
 
 
-def _interpolate(field: np.ndarray, cells) -> np.ndarray:
-    """Interpolate a grid field at the positions described by `_cells`."""
-    (k, c), *rest = cells
-    out = c * field.take(k)
-    for k, c in rest:
-        out += c * field.take(k)
-    return out
+class _Sampler:
+    """Guiding velocities of n positions, interpolated in fixed buffers.
+
+    Density and velocity numerators are interpolated bilinearly (linearly in
+    1D) from the corners of each position's grid cell, and the velocity is
+    numerator / max(density, eps).  A cell's corners sit at fixed offsets
+    from its first node in the flattened fields, so each corner is one
+    gather of every field through the same indices, read from the fields
+    shifted by that offset.  Positions are clipped into the grid first, so
+    the gathers never leave it and `mode="clip"` only spares numpy a copy.
+    """
+
+    def __init__(self, grid: GridSpec, n: int):
+        d = grid.ndim
+        size = math.prod(grid.shape)
+        self.grid = grid
+        self._qmin = np.array([[a.qmin] for a in grid.axes])
+        self._dq = np.array([[a.dq] for a in grid.axes])
+        self._top = np.array([[a.npoints - 1 - 1e-12] for a in grid.axes])
+        if d == 1:
+            self._offsets = (0, 1)
+        else:
+            ny = grid.axes[1].npoints
+            self._offsets = (0, ny, 1, ny + 1)
+        self._starts = np.arange(1 + d).reshape(-1, 1) * size
+        self._u = np.empty((d, n))
+        self._floor = np.empty((d, n))
+        self._cell = np.empty((d, n), dtype=np.intp)
+        self._idx = np.empty((1 + d, n), dtype=np.intp)
+        self._weights = np.empty((len(self._offsets), n))
+        self._gathered = np.empty((len(self._offsets), 1 + d, n))
+
+    def velocity(self, fields: np.ndarray, eps: float, positions: np.ndarray, out: np.ndarray) -> None:
+        """Write the velocity at positions (n, d) from one row of `_FlowBlock`
+        fields into out (n, d)."""
+        u, fl, cell, w = self._u, self._floor, self._cell, self._weights
+        np.subtract(positions.T, self._qmin, out=u)
+        np.divide(u, self._dq, out=u)
+        np.clip(u, 0.0, self._top, out=u)
+        np.floor(u, out=fl)
+        np.copyto(cell, fl, casting="unsafe")
+        np.subtract(u, fl, out=u)
+        k = cell[0]
+        if self.grid.ndim == 1:
+            np.subtract(1.0, u[0], out=w[0])
+            w = (w[0], u[0])
+        else:
+            wx, wy = u
+            np.multiply(k, self.grid.axes[1].npoints, out=k)
+            np.add(k, cell[1], out=k)
+            np.subtract(1.0, wx, out=w[0])
+            np.subtract(1.0, wy, out=w[1])
+            np.multiply(w[0], wy, out=w[2])
+            np.multiply(wx, wy, out=w[3])
+            np.multiply(w[0], w[1], out=w[0])
+            np.multiply(wx, w[1], out=w[1])
+        np.add(k, self._starts, out=self._idx)
+        flat = fields.reshape(-1)
+        acc, *rest = self._gathered
+        flat.take(self._idx, out=acc, mode="clip")
+        np.multiply(w[0], acc, out=acc)
+        for c, (offset, g) in enumerate(zip(self._offsets[1:], rest), start=1):
+            flat[offset:].take(self._idx, out=g, mode="clip")
+            np.multiply(w[c], g, out=g)
+            np.add(acc, g, out=acc)
+        rho_p = acc[0]
+        np.maximum(rho_p, eps, out=rho_p)
+        np.divide(acc[1:], rho_p, out=out.T)
 
 
-def _velocity_from_fields(grid, fields, positions: np.ndarray) -> np.ndarray:
-    rho, nums, eps = fields
-    cells = _cells(grid, positions)
-    rho_p = np.maximum(_interpolate(rho, cells), eps)
-    out = np.empty_like(positions)
-    for d, num in enumerate(nums):
-        out[:, d] = _interpolate(num, cells) / rho_p
-    return out
+def _checked_positions(grid: GridSpec, positions) -> np.ndarray:
+    q = np.atleast_2d(np.asarray(positions, dtype=np.float64))
+    if q.shape[1] != grid.ndim:
+        raise ValueError(f"positions must have {grid.ndim} columns")
+    if np.isnan(q).any():
+        raise ValueError("positions must not be NaN")
+    return q
 
 
 def velocity_field(
     psi: GridWavefunction, params: PhysicsParams, positions: np.ndarray
 ) -> np.ndarray:
     """Guiding velocity Im(psi* grad psi)/(m |psi|^2) at given positions (n, d)."""
-    positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
-    if positions.shape[1] != psi.grid.ndim:
-        raise ValueError(f"positions must have {psi.grid.ndim} columns")
-    return _velocity_from_fields(psi.grid, _flow_fields(psi, params), positions)
-
+    q = _checked_positions(psi.grid, positions)
+    flow = _FlowBlock(psi.grid, params, 1)
+    flow.values[0] = psi.values
+    flow.compute(0, 1)
+    out = np.empty_like(q)
+    _Sampler(psi.grid, q.shape[0]).velocity(flow.fields[0], flow.eps[0], q, out)
+    return out
 
 def sample_equilibrium(psi: GridWavefunction, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n positions from |psi|^2: inverse CDF over cells, uniform jitter inside.
@@ -452,6 +546,10 @@ class TrajectoryRun:
         return int(np.sum(self.absorbed_at >= 0))
 
 
+def _block_steps(grid: GridSpec) -> int:
+    return max(1, _BLOCK_POINTS // math.prod(grid.shape))
+
+
 def integrate_trajectories(
     psi: GridWavefunction,
     params: PhysicsParams,
@@ -467,62 +565,107 @@ def integrate_trajectories(
     RK4 per step with the wave function advanced in two Strang half steps so
     exact t + dt/2 snapshots feed the midpoint stages.  Trajectories leaving
     the grid interior margin are flagged absorbed and frozen, never clamped.
+
+    The wave function does not depend on the particles, so it runs ahead:
+    each block of steps advances it into the rows of a `_FlowBlock`, checks
+    every half-step snapshot's norm and computes every snapshot's flow fields
+    together before the particles take those steps.  A snapshot off unit
+    norm by more than GRID_NORM_TOL raises NormDriftError.
     """
     grid = psi.grid
     vgrid = params.potential.values(grid, params.masses)
     _check_dt(grid, params, vgrid, dt)
-    q = np.atleast_2d(np.asarray(positions, dtype=np.float64)).copy()
-    if q.shape[1] != grid.ndim:
-        raise ValueError(f"positions must have {grid.ndim} columns")
+    q = _checked_positions(grid, positions).copy()
     n = q.shape[0]
     absorbed_at = np.full(n, -1, dtype=np.intp)
 
     lo = np.array([a.qmin + margin_cells * a.dq for a in grid.axes])
     hi = np.array([a.qmax - margin_cells * a.dq for a in grid.axes])
+    alive = np.empty(n, dtype=bool)
+    gone = np.empty(n, dtype=bool)
+    below = np.empty(q.shape, dtype=bool)
+    above = np.empty(q.shape, dtype=bool)
 
     def mark_absorbed(step: int) -> None:
-        alive = absorbed_at < 0
-        out = np.any((q < lo) | (q > hi), axis=1)
-        absorbed_at[alive & out] = step
+        # `alive` is absorbed_at < 0, as it was before this step moved q
+        np.less(q, lo, out=below)
+        np.greater(q, hi, out=above)
+        np.logical_or(below, above, out=below)
+        np.any(below, axis=1, out=gone)
+        np.logical_and(alive, gone, out=gone)
+        np.copyto(absorbed_at, step, where=gone)
 
+    np.less(absorbed_at, 0, out=alive)
     mark_absorbed(0)
 
-    saved_steps = [0]
-    snaps = [q.copy()]
+    saved_steps = [0] + [s for s in range(1, steps + 1) if s % save_every == 0 or s == steps]
+    saved = np.empty((len(saved_steps), *q.shape))
+    saved[0] = q
+    n_saved = 1
     wfs = [psi] if keep_wavefunctions else []
 
+    block_steps = _block_steps(grid)
     half_step = _strang_step(grid, params, vgrid, dt / 2)
-    cur = psi.values.copy()
-    fields_t = _flow_fields(psi, params)
-    for step in range(1, steps + 1):
-        mid = half_step(cur)
-        nxt = half_step(mid)
-        psi_mid = GridWavefunction(grid, mid, time=psi.time + (step - 0.5) * dt)
-        psi_nxt = GridWavefunction(grid, nxt, time=psi.time + step * dt)
-        fields_m = _flow_fields(psi_mid, params)
-        fields_n = _flow_fields(psi_nxt, params)
+    flow = _FlowBlock(grid, params, 2 * block_steps + 1)
+    sampler = _Sampler(grid, n)
+    k1, k2, k3, k4, x = (np.empty_like(q) for _ in range(5))
+    keep_alive = alive[:, None]
+    flow.values[0] = psi.values
+    fresh = 0  # first row whose fields are not computed yet
+    for base in range(0, steps, block_steps):
+        # row 0 is the wave function at step `base`; rows 2j+1 and 2j+2 are
+        # the midpoint and the end of step base+j+1
+        rows = 2 * min(block_steps, steps - base) + 1
+        for r in range(1, rows):
+            half_step(flow.values[r - 1], out=flow.values[r])
+        flow.compute(fresh, rows)
+        drifted = np.flatnonzero(~(np.abs(flow.norms[fresh:rows] - 1.0) <= GRID_NORM_TOL))
+        if drifted.size:
+            r = fresh + int(drifted[0])
+            raise NormDriftError(
+                f"norm drifted to {float(flow.norms[r])!r} in step {base + (r + 1) // 2} "
+                f"(limit {GRID_NORM_TOL} off unity)"
+            )
 
-        # every row is stepped and only alive rows are written back, so absorbed
-        # trajectories stay frozen without a gather and scatter of the positions
-        alive = absorbed_at < 0
-        k1 = _velocity_from_fields(grid, fields_t, q)
-        k2 = _velocity_from_fields(grid, fields_m, q + 0.5 * dt * k1)
-        k3 = _velocity_from_fields(grid, fields_m, q + 0.5 * dt * k2)
-        k4 = _velocity_from_fields(grid, fields_n, q + dt * k3)
-        np.copyto(q, q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), where=alive[:, None])
-        mark_absorbed(step)
+        for r in range(0, rows - 1, 2):
+            step = base + r // 2 + 1
+            f_t, f_m, f_n = flow.fields[r : r + 3]
+            e_t, e_m, e_n = flow.eps[r : r + 3]
+            # every row is stepped and only alive rows are written back, so
+            # absorbed trajectories stay frozen without a gather and scatter
+            np.less(absorbed_at, 0, out=alive)
+            sampler.velocity(f_t, e_t, q, k1)
+            np.multiply(0.5 * dt, k1, out=x)
+            np.add(q, x, out=x)
+            sampler.velocity(f_m, e_m, x, k2)
+            np.multiply(0.5 * dt, k2, out=x)
+            np.add(q, x, out=x)
+            sampler.velocity(f_m, e_m, x, k3)
+            np.multiply(dt, k3, out=x)
+            np.add(q, x, out=x)
+            sampler.velocity(f_n, e_n, x, k4)
+            # q + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right
+            np.multiply(2.0, k2, out=k2)
+            np.add(k1, k2, out=k1)
+            np.multiply(2.0, k3, out=k3)
+            np.add(k1, k3, out=k1)
+            np.add(k1, k4, out=k1)
+            np.multiply(dt / 6.0, k1, out=k1)
+            np.add(q, k1, out=k1)
+            np.copyto(q, k1, where=keep_alive)
+            mark_absorbed(step)
 
-        cur = nxt
-        fields_t = fields_n
-        if step % save_every == 0 or step == steps:
-            saved_steps.append(step)
-            snaps.append(q.copy())
-            if keep_wavefunctions:
-                wfs.append(psi_nxt)
+            if step == saved_steps[n_saved]:
+                saved[n_saved] = q
+                n_saved += 1
+                if keep_wavefunctions:
+                    wfs.append(GridWavefunction(grid, flow.values[r + 2], time=psi.time + step * dt))
 
-    final_norm = math.sqrt(float(np.sum(np.abs(cur) ** 2)) * grid.cell_volume)
-    if not abs(final_norm - 1.0) < NORM_DRIFT_TOL:
-        raise NormDriftError(f"norm drifted to {final_norm!r} (limit {NORM_DRIFT_TOL} off unity)")
+        # the last row starts the next block
+        flow.values[0] = flow.values[rows - 1]
+        flow.fields[0] = flow.fields[rows - 1]
+        flow.eps[0] = flow.eps[rows - 1]
+        fresh = 1
 
     steps_arr = np.array(saved_steps, dtype=np.intp)
     return TrajectoryRun(
@@ -530,7 +673,7 @@ def integrate_trajectories(
         dt=float(dt),
         saved_steps=steps_arr,
         times=psi.time + dt * steps_arr.astype(np.float64),
-        positions=np.stack(snaps),
+        positions=saved,
         absorbed_at=absorbed_at,
         wavefunctions=tuple(wfs),
     )
@@ -703,18 +846,20 @@ def conditional_wavefunction(psi: GridWavefunction, axis: int, value: float) -> 
 def export_trajectories_csv(path, run: TrajectoryRun) -> None:
     """Long-format CSV: trajectory_id,time,q1[,q2]; one row per (trajectory, time).
 
-    Rows are written one trajectory at a time, so only one trajectory's text
-    is held in memory.
+    Each row is a per-time ",<time>," piece between the id and the
+    coordinates, and each trajectory's rows are joined and written at once,
+    so only one trajectory's text is held in memory.
     """
     ndim = run.grid.ndim
     cols = ",".join(f"q{d + 1}" for d in range(ndim))
-    row_format = "%d,%s" + ",%r" * ndim + "\n"
-    times = [repr(t) for t in run.times.tolist()]
+    times = [f",{t!r}," for t in run.times.tolist()]
+    row = ("{}" + ",".join(["{!r}"] * ndim)).format
     with open(path, "w", newline="\n") as fh:
         fh.write(f"trajectory_id,time,{cols}\n")
         for tid in range(run.n_trajectories):
-            rows = zip(itertools.repeat(tid), times, *run.positions[:, tid].T.tolist())
-            fh.writelines(map(row_format.__mod__, rows))
+            tid_s = str(tid)
+            rows = map(row, times, *run.positions[:, tid].T.tolist())
+            fh.write(tid_s + ("\n" + tid_s).join(rows) + "\n")
 
 
 def export_wavefunction_csv(directory, run: TrajectoryRun) -> list:

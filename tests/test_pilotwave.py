@@ -7,6 +7,9 @@ the residual is identically zero before any numerics rely on it.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -384,17 +387,67 @@ class _Absorbing(pilotwave.Potential):
         return np.full(grid.shape, -1j * self.params["gamma"])
 
 
-def test_integration_raises_typed_error_on_norm_drift(monkeypatch):
-    # loosen the per-snapshot check so the lossy evolution reaches the final one
-    monkeypatch.setattr(pilotwave, "GRID_NORM_TOL", 0.5)
+def test_integration_raises_typed_error_on_norm_drift():
+    # the first midpoint snapshot already lost more than GRID_NORM_TOL
     grid = pilotwave.GridSpec.make((-10.0, 10.0, 128))
     psi = pilotwave.init_wavefunction(
         grid, pilotwave.GaussianProfile(center=(0.0,), width=(1.0,), momentum=(0.0,))
     )
-    params = pilotwave.PhysicsParams(masses=(1.0,), potential=_Absorbing(10.0))
     pos = pilotwave.sample_equilibrium(psi, 20, stream(4, 0))
-    with pytest.raises(pilotwave.NormDriftError, match="norm drifted"):
-        pilotwave.integrate_trajectories(psi, params, pos, dt=1e-3, steps=3)
+    for gamma in (1e-6, 10.0):
+        params = pilotwave.PhysicsParams(masses=(1.0,), potential=_Absorbing(gamma))
+        with pytest.raises(pilotwave.NormDriftError, match="norm drifted .* in step 1 "):
+            pilotwave.integrate_trajectories(psi, params, pos, dt=1e-3, steps=3)
+
+
+_FAULTS_PER_STEP = """
+import resource
+from qfoundations import pilotwave
+from qfoundations.streams import stream
+
+grid = pilotwave.GridSpec.make((-24.0, 24.0, 512))
+psi = pilotwave.init_wavefunction(
+    grid, pilotwave.GaussianProfile(center=(0.0,), width=(1.0,), momentum=(0.0,))
+)
+params = pilotwave.PhysicsParams(masses=(1.0,), potential=pilotwave.free())
+pos = pilotwave.sample_equilibrium(psi, 10000, stream(7, 2))
+faults = []
+for steps in (200, 400):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    pilotwave.integrate_trajectories(psi, params, pos, dt=0.001, steps=steps, save_every=100)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print((faults[1] - faults[0]) / 200)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor-fault counts are read on Linux")
+def test_integration_steps_do_not_fault_in_fresh_memory():
+    # A step that allocated ensemble-sized temporaries would have the C heap
+    # hand them back and fault them in again, hundreds of pages per step.  A
+    # fresh interpreter with the allocator at its defaults counts the faults
+    # of 200 extra steps.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pilotwave.__file__)))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = src
+    out = subprocess.run(
+        [sys.executable, "-c", _FAULTS_PER_STEP], env=env, capture_output=True, text=True, check=True
+    )
+    per_step = float(out.stdout)
+    assert per_step < 20, f"{per_step} extra minor faults per step"
+
+
+def test_nan_positions_rejected():
+    # the interpolation clips cell indices into the grid, so a NaN position
+    # must be refused before it reaches a gather
+    grid = pilotwave.GridSpec.make((-10.0, 10.0, 128))
+    psi = pilotwave.init_wavefunction(
+        grid, pilotwave.GaussianProfile(center=(0.0,), width=(1.0,), momentum=(0.0,))
+    )
+    pos = np.array([[0.5], [np.nan]])
+    with pytest.raises(ValueError, match="NaN"):
+        pilotwave.velocity_field(psi, _free_params(), pos)
+    with pytest.raises(ValueError, match="NaN"):
+        pilotwave.integrate_trajectories(psi, _free_params(), pos, dt=1e-3, steps=2)
 
 
 def test_integration_deterministic():

@@ -1,8 +1,9 @@
 """Property tests: the fast pilot-wave paths against plain reference versions.
 
-`check_noncrossing` is compared with an O(n^2) pair count, and the shared-cell
-velocity interpolation with the per-field interpolation it replaced, which
-is kept here as the reference and must agree bit for bit.
+`check_noncrossing` is compared with an O(n^2) pair count, the shared-cell
+velocity interpolation with the per-field interpolation it replaced, and the
+block-batched trajectory integrator with the per-step RK4 loop it replaced.
+The references are kept here and must agree bit for bit.
 """
 
 import math
@@ -131,11 +132,10 @@ def test_shared_cells_velocity_equals_per_field_interpolation(ndim, seed, data):
     rng = np.random.default_rng(seed)
     rho = rng.random(grid.shape) ** 4  # small densities hit the eps floor
     nums = [rng.standard_normal(grid.shape) for _ in range(ndim)]
-    fields = (rho, nums, 1e-3)
-    assert _same_bits(
-        pilotwave._velocity_from_fields(grid, fields, positions),
-        _per_field_velocity(grid, fields, positions),
-    )
+    out = np.empty_like(positions)
+    sampler = pilotwave._Sampler(grid, positions.shape[0])
+    sampler.velocity(np.stack([rho, *nums]), 1e-3, positions, out)
+    assert _same_bits(out, _per_field_velocity(grid, (rho, nums, 1e-3), positions))
 
 
 @settings(deadline=None, max_examples=30)
@@ -156,3 +156,137 @@ def test_velocity_field_equals_per_call_reference(ndim, center, momentum, data):
     expected = _per_field_velocity(grid, _per_call_flow_fields(psi, params), positions)
     assert _same_bits(pilotwave.velocity_field(psi, params, positions), expected)
     assert math.isfinite(float(np.abs(expected).max()))
+
+
+# ---------------------------------------------------------------------------
+# block-batched integration
+
+
+def _oracle_integrate(psi, params, positions, dt, steps, save_every=1, margin_cells=4,
+                      keep_wavefunctions=True):
+    """The per-step RK4 loop: two Strang half steps, three fresh snapshots'
+    fields and four velocity evaluations per step, every temporary new."""
+    grid = psi.grid
+    vgrid = params.potential.values(grid, params.masses)
+    q = np.atleast_2d(np.asarray(positions, dtype=np.float64)).copy()
+    n = q.shape[0]
+    absorbed_at = np.full(n, -1, dtype=np.intp)
+    lo = np.array([a.qmin + margin_cells * a.dq for a in grid.axes])
+    hi = np.array([a.qmax - margin_cells * a.dq for a in grid.axes])
+
+    def mark_absorbed(step):
+        alive = absorbed_at < 0
+        out = np.any((q < lo) | (q > hi), axis=1)
+        absorbed_at[alive & out] = step
+
+    mark_absorbed(0)
+    saved_steps = [0]
+    snaps = [q.copy()]
+    wfs = [psi] if keep_wavefunctions else []
+
+    h = dt / 2
+    exp_v_half = np.exp(-0.5j * h * vgrid)
+    exp_k = np.exp(-1j * h * pilotwave._kinetic_grid(grid, params.masses))
+
+    def half_step(values):
+        v = exp_v_half * values
+        v = np.fft.ifftn(exp_k * np.fft.fftn(v))
+        return exp_v_half * v
+
+    cur = psi.values.copy()
+    fields_t = _per_call_flow_fields(psi, params)
+    for step in range(1, steps + 1):
+        mid = half_step(cur)
+        nxt = half_step(mid)
+        psi_mid = pilotwave.GridWavefunction(grid, mid, time=psi.time + (step - 0.5) * dt)
+        psi_nxt = pilotwave.GridWavefunction(grid, nxt, time=psi.time + step * dt)
+        fields_m = _per_call_flow_fields(psi_mid, params)
+        fields_n = _per_call_flow_fields(psi_nxt, params)
+
+        alive = absorbed_at < 0
+        k1 = _per_field_velocity(grid, fields_t, q)
+        k2 = _per_field_velocity(grid, fields_m, q + 0.5 * dt * k1)
+        k3 = _per_field_velocity(grid, fields_m, q + 0.5 * dt * k2)
+        k4 = _per_field_velocity(grid, fields_n, q + dt * k3)
+        np.copyto(q, q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), where=alive[:, None])
+        mark_absorbed(step)
+
+        cur = nxt
+        fields_t = fields_n
+        if step % save_every == 0 or step == steps:
+            saved_steps.append(step)
+            snaps.append(q.copy())
+            if keep_wavefunctions:
+                wfs.append(psi_nxt)
+
+    steps_arr = np.array(saved_steps, dtype=np.intp)
+    return pilotwave.TrajectoryRun(
+        grid=grid,
+        dt=float(dt),
+        saved_steps=steps_arr,
+        times=psi.time + dt * steps_arr.astype(np.float64),
+        positions=np.stack(snaps),
+        absorbed_at=absorbed_at,
+        wavefunctions=tuple(wfs),
+    )
+
+
+# 1D with long blocks, 2D with blocks of two steps, and a 2D grid large enough
+# for numpy to evaluate the reference drift product in place
+_RUN_GRIDS = {
+    "1d": (pilotwave.GridSpec.make((-4.0, 4.0, 64)), 0.002),
+    "2d": (pilotwave.GridSpec.make((-4.0, 4.0, 64), (-5.0, 5.0, 64)), 0.002),
+    "2d-large": (pilotwave.GridSpec.make((-4.0, 4.0, 128), (-5.0, 5.0, 128)), 0.0009),
+}
+
+
+@st.composite
+def _step_counts(draw, block):
+    """Steps below, at and above the block length, and not a multiple of it."""
+    edges = [1, block - 1, block, block + 1, 2 * block, 2 * block + 1]
+    return draw(st.sampled_from([s for s in edges if s >= 1]) | st.integers(1, 2 * block + 3))
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    name=st.sampled_from(sorted(_RUN_GRIDS)),
+    momentum=st.floats(-3.0, 3.0),
+    t0=st.sampled_from([0.0, 0.25]),
+    keep=st.booleans(),
+    data=st.data(),
+)
+def test_integration_equals_per_step_reference(name, momentum, t0, keep, data):
+    grid, dt = _RUN_GRIDS[name]
+    ndim = grid.ndim
+    block = pilotwave._block_steps(grid)
+    if name == "2d-large":
+        assert block == 1
+        steps = data.draw(st.integers(1, 3))
+    else:
+        assert block > 1
+        steps = data.draw(_step_counts(block))
+    save_every = data.draw(st.integers(1, steps + 2))
+    profile = pilotwave.GaussianProfile(
+        center=(0.3,) * ndim, width=(0.5,) * ndim, momentum=(momentum,) * ndim
+    )
+    psi = pilotwave.init_wavefunction(grid, profile)
+    psi = pilotwave.GridWavefunction(grid, psi.values, time=t0)
+    params = pilotwave.PhysicsParams(
+        masses=(1.0, 2.0)[:ndim], potential=pilotwave.harmonic(1.0, (0.2,) * ndim)
+    )
+    # rows start inside and outside the interior margin, and near its edge
+    n = data.draw(st.integers(1, 30))
+    positions = data.draw(hnp.arrays(np.float64, (n, ndim), elements=st.floats(-4.0, 4.0)))
+
+    run = pilotwave.integrate_trajectories(
+        psi, params, positions, dt, steps, save_every=save_every, keep_wavefunctions=keep
+    )
+    ref = _oracle_integrate(psi, params, positions, dt, steps, save_every, keep_wavefunctions=keep)
+    assert np.array_equal(run.saved_steps, ref.saved_steps)
+    assert _same_bits(run.times, ref.times)
+    assert _same_bits(run.positions, ref.positions)
+    assert np.array_equal(run.absorbed_at, ref.absorbed_at)
+    assert len(run.wavefunctions) == len(ref.wavefunctions) == (len(ref.saved_steps) if keep else 0)
+    for got, want in zip(run.wavefunctions, ref.wavefunctions):
+        assert got.time == want.time
+        assert _same_bits(got.values, want.values)
