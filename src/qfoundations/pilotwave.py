@@ -79,9 +79,6 @@ LEAKAGE_TOL = 1e-6
 # max(1, _BLOCK_POINTS // grid size) steps before the particles take them
 _BLOCK_POINTS = 1 << 13
 
-# numpy's threshold for evaluating `a * temporary` in the temporary's memory
-_ELIDE_BYTES = 256 * 1024
-
 
 class NormDriftError(ValueError):
     """An evolved wave-function snapshot is off unit norm beyond GRID_NORM_TOL."""
@@ -331,16 +328,11 @@ def _strang_step(grid: GridSpec, params: PhysicsParams, vgrid: np.ndarray, h: fl
     exp_k = np.exp(-1j * h * _kinetic_grid(grid, params.masses))
     kicked = np.empty(grid.shape, dtype=np.complex128)
     spectrum = np.empty_like(kicked)
-    # The drift's bits are those of `exp_k * fftn(v)`, which numpy evaluates
-    # in place as `fftn(v) * exp_k` once the transform is 256 KiB or larger
-    # (temporary elision).  Complex products can round differently with the
-    # operands swapped, so each grid size keeps the order that expression gets.
-    drift = (spectrum, exp_k) if spectrum.nbytes >= _ELIDE_BYTES else (exp_k, spectrum)
 
     def step(values: np.ndarray, out: np.ndarray) -> None:
         np.multiply(exp_v_half, values, out=kicked)
         np.fft.fftn(kicked, out=spectrum)
-        np.multiply(*drift, out=spectrum)
+        np.multiply(exp_k, spectrum, out=spectrum)
         np.fft.ifftn(spectrum, out=kicked)
         np.multiply(exp_v_half, kicked, out=out)
 
@@ -502,6 +494,7 @@ def velocity_field(
     out = np.empty_like(q)
     _Sampler(psi.grid, q.shape[0]).velocity(flow.fields[0], flow.eps[0], q, out)
     return out
+
 
 def sample_equilibrium(psi: GridWavefunction, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n positions from |psi|^2: inverse CDF over cells, uniform jitter inside.

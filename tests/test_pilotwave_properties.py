@@ -190,7 +190,10 @@ def _oracle_integrate(psi, params, positions, dt, steps, save_every=1, margin_ce
 
     def half_step(values):
         v = exp_v_half * values
-        v = np.fft.ifftn(exp_k * np.fft.fftn(v))
+        # a ufunc call, not `*`: on grids of 256 KiB and more numpy may
+        # evaluate `exp_k * temporary` as `temporary * exp_k`, whose complex
+        # products can round differently
+        v = np.fft.ifftn(np.multiply(exp_k, np.fft.fftn(v)))
         return exp_v_half * v
 
     cur = psi.values.copy()
@@ -231,8 +234,8 @@ def _oracle_integrate(psi, params, positions, dt, steps, save_every=1, margin_ce
     )
 
 
-# 1D with long blocks, 2D with blocks of two steps, and a 2D grid large enough
-# for numpy to evaluate the reference drift product in place
+# 1D with long blocks, 2D with blocks of two steps, and a 2D grid with blocks
+# of one step
 _RUN_GRIDS = {
     "1d": (pilotwave.GridSpec.make((-4.0, 4.0, 64)), 0.002),
     "2d": (pilotwave.GridSpec.make((-4.0, 4.0, 64), (-5.0, 5.0, 64)), 0.002),
