@@ -39,17 +39,20 @@ Arithmetic: the analytic engine (`evolved_state`,
 `record_overlap_distance`) runs on `exact.Cyclotomic` scalars only.  It
 takes `exact.pi_times` angles, so every amplitude and probability lies in a
 cyclotomic field, where zero tests are exact and signs are decided or
-refused, never guessed; a radian angle raises TypeError.  Floats live only
-in the vectorized Monte Carlo kernel `sample_bohmian_runs`, which pushes
-whole ensembles through the circuit as arrays (a single configuration is a
-one-row ensemble passed as `hidden`) and reads each angle as `float(theta)`.
-`sample_eraser` streams a large ensemble through that kernel: it yields
+refused, never guessed; a radian angle raises TypeError.  The transport is
+one cell split, generic over its scalar: the Monte Carlo sampler
+`sample_bohmian_runs` runs it once per circuit (in floats if an angle is in
+radians) and reads each run off the cell holding its initial configuration;
+a single configuration is a one-row ensemble passed as `hidden`.
+`sample_eraser` streams a large ensemble through the sampler: it yields
 fixed-size chunks in stream order, drawing at most `workers` ahead, so a
 consumer that folds each chunk in holds O(workers x chunk) runs at any n.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 import math
 from collections import Counter, deque
@@ -91,11 +94,10 @@ __all__ = [
 INTERFERENCE = "interference"
 WHICHPATH = "whichpath"
 PATH_LABELS = ("1", "2")
-_FLOAT_PROB_FLOOR = 1e-12
 _QUARTER = ex.pi_times(Fraction(1, 4))
 _R = 1.0 / np.sqrt(2.0)
 # the source state (|11> + |22>)/sqrt(2) in float arithmetic, as a 2x2 table
-# of amplitudes indexed (left label, right label), for the vectorized kernels
+# of amplitudes indexed (left label, right label), for the sampler
 FLOAT_SOURCE = np.array([[_R, 0.0], [0.0, _R]], dtype=np.complex128)
 FLOAT_SOURCE.setflags(write=False)
 
@@ -283,34 +285,118 @@ def copenhagen_joint_distribution(circ: OpticalCircuit) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# monotone transport helpers for the exact cell enumeration
+# monotone transport helpers for the cell split
 
 
-def _conditional(state: list, arm: int, other_label: int) -> list:
+def _arm_major(state: np.ndarray, arm: int) -> np.ndarray:
+    """A view of the 2x2 amplitude table with rows indexed by `arm`'s label."""
+    return state if arm == 0 else state.T
+
+
+def _conditional(state: np.ndarray, arm: int, other_label: int, prob) -> list:
     """This arm's label probabilities given the other arm's actual label."""
-    if arm == 0:
-        amps = [state[0][other_label], state[1][other_label]]
-    else:
-        amps = [state[other_label][0], state[other_label][1]]
-    ps = [_prob(a) for a in amps]
+    ps = [prob(a) for a in _arm_major(state, arm)[:, other_label]]
     tot = ps[0] + ps[1]
     if tot == 0:
         raise RuntimeError("conditional state has zero norm; transport is inconsistent")
     return [p / tot for p in ps]
 
 
-def _apply_bs(state: list, arm: int, b: np.ndarray) -> list:
-    new = [[None, None], [None, None]]
-    for i, j in itertools.product(range(2), range(2)):
-        if arm == 0:
-            new[i][j] = b[i, 0] * state[0][j] + b[i, 1] * state[1][j]
-        else:
-            new[i][j] = b[j, 0] * state[i][0] + b[j, 1] * state[i][1]
-    return new
+def _with(pair: tuple, arm: int, value) -> tuple:
+    """A (left, right) pair with this arm's entry replaced."""
+    return (value, pair[1]) if arm == 0 else (pair[0], value)
+
+
+@dataclass
+class _Cell:
+    labels0: tuple[int, int]
+    init: tuple  # ((a,b), (c,d)) initial coordinate rectangles
+    cur: tuple  # ((lo,hi), (lo,hi)) current intra-label coordinate intervals
+    labels: tuple[int, int]
+    state: np.ndarray  # 2x2 joint amplitudes, indexed (left label, right label)
+    recs: tuple  # (rec_left, rec_right)
+    outcome: dict
+
+
+def _split_cells(circ: OpticalCircuit, psi0, prob, beam_splitter, zero, one) -> Iterator[list]:
+    """Split the hidden-variable space into cells with constant label history;
+    yields the cells at the source and after each element of `circ`.
+
+    Cells are (initial joint label, coordinate sub-rectangle) pieces; the
+    transport map is affine on each piece, so finitely many cells capture the
+    whole dynamics.  The split is generic over its scalar: `psi0` is the 2x2
+    source amplitude table, `prob` maps an amplitude to a real probability,
+    `beam_splitter` maps an element to its 2x2 matrix, and `zero` and `one`
+    bound the coordinates.
+    """
+    cells = [
+        _Cell(
+            labels0=(l, r),
+            init=((zero, one), (zero, one)),
+            cur=((zero, one), (zero, one)),
+            labels=(l, r),
+            state=psi0,
+            recs=(((0, PATH_LABELS[l]),), ((0, PATH_LABELS[r]),)),
+            outcome={},
+        )
+        for l, r in itertools.product(range(2), range(2))
+        if prob(psi0[l][r]) != 0
+    ]
+    yield cells
+
+    for el in circ.elements:
+        arm = 0 if el.arm == "L" else 1
+        new_cells = []
+        b = beam_splitter(el) if el.kind == "beam_splitter" else None
+        for cell in cells:
+            if b is None:
+                # a detector reads the actual label and conditions the state on it
+                lab = cell.labels[arm]
+                state = cell.state.copy()
+                _arm_major(state, arm)[1 - lab] = zero
+                outcome = {**cell.outcome, el.arm: f"{el.arm}{_detector_number(el.kind, lab)}"}
+                new_cells.append(dataclasses.replace(cell, state=state, outcome=outcome))
+                continue
+            other = cell.labels[1 - arm]
+            before = _conditional(cell.state, arm, other, prob)
+            own = before[cell.labels[arm]]
+            if own == 0:
+                raise RuntimeError("cell label carries zero conditional probability")
+            xlo, xhi = cell.cur[arm]
+            base = before[0] if cell.labels[arm] == 1 else zero
+            clo = base + xlo * own
+            chi = base + xhi * own
+            new_state = _arm_major(b @ _arm_major(cell.state, arm), arm)
+            after = _conditional(new_state, arm, other, prob)
+            bounds = [zero, after[0], one]
+            for k in range(2):
+                plo = clo if bounds[k] < clo else bounds[k]
+                phi = chi if chi < bounds[k + 1] else bounds[k + 1]
+                if not plo < phi:
+                    continue
+                frac_lo = (plo - clo) / (chi - clo)
+                frac_hi = (phi - clo) / (chi - clo)
+                ia, ib = cell.init[arm]
+                # weighted so that fractions 0 and 1 give ia and ib exactly in
+                # floats too, and neighbouring cells share their edges
+                init_arm = (ia * (1 - frac_lo) + ib * frac_lo, ia * (1 - frac_hi) + ib * frac_hi)
+                cur_arm = ((plo - bounds[k]) / after[k], (phi - bounds[k]) / after[k])
+                new_cells.append(
+                    dataclasses.replace(
+                        cell,
+                        init=_with(cell.init, arm, init_arm),
+                        cur=_with(cell.cur, arm, cur_arm),
+                        labels=_with(cell.labels, arm, k),
+                        state=new_state,
+                        recs=_with(cell.recs, arm, cell.recs[arm] + ((el.layer, PATH_LABELS[k]),)),
+                    )
+                )
+        cells = new_cells
+        yield cells
 
 
 # ---------------------------------------------------------------------------
-# vectorized Monte Carlo sampling (float arithmetic)
+# Monte Carlo sampling: runs read off the transport cells
 
 
 @dataclass(frozen=True)
@@ -366,6 +452,54 @@ class BohmianSample:
         return out
 
 
+@dataclass(frozen=True)
+class _CellTable:
+    """A circuit's final transport cells as float arrays.  The edges of the
+    cells' initial rectangles cut each axis into half-open intervals, and
+    each box of that grid lies in one cell."""
+
+    edges: tuple  # arm -> sorted distinct rectangle edges, 0.0 to 1.0
+    grid: np.ndarray  # (label_L, label_R, box_L, box_R) -> cell, -1 if none
+    outcomes: np.ndarray  # (cells, 2) detector numbers
+    bs_labels: dict  # arm -> tuple of (cells,) labels, one per beam splitter
+
+
+@functools.lru_cache(maxsize=64)
+def _cell_table(circ: OpticalCircuit) -> _CellTable:
+    """The cell split of `circ`, run once per circuit: exactly when every
+    beam-splitter angle is an `exact.Angle`, else in floats."""
+    if all(isinstance(e.theta, ex.Angle) for e in circ.elements if e.kind == "beam_splitter"):
+        psi0 = initial_state().amplitudes.reshape(2, 2)
+        *_, cells = _split_cells(circ, psi0, _prob, _exact_beam_splitter, ex.ZERO, ex.ONE)
+    else:
+        *_, cells = _split_cells(
+            circ, FLOAT_SOURCE, lambda z: abs(z) ** 2,
+            lambda el: beam_splitter_matrix(float(el.theta)), 0.0, 1.0,
+        )
+    rects = np.array([[[float(v) for v in iv] for iv in c.init] for c in cells])
+    edges = tuple(np.unique(rects[:, a]) for a in range(2))
+    grid = np.full((2, 2, edges[0].size - 1, edges[1].size - 1), -1, dtype=np.intp)
+    for k, (cell, rect) in enumerate(zip(cells, rects)):
+        (l0, h0), (l1, h1) = (np.searchsorted(e, rect[a]) for a, e in enumerate(edges))
+        boxes = grid[cell.labels0][l0:h0, l1:h1]
+        if np.any(boxes >= 0):
+            raise RuntimeError("transport cells overlap in floats")
+        boxes[...] = k
+    if any(np.any(grid[c.labels0] < 0) for c in cells):
+        raise RuntimeError("transport cells leave a gap in floats")
+    outcomes = np.array([[int(c.outcome[arm][1:]) for arm in "LR"] for c in cells], dtype=np.intp)
+    bs_labels = {
+        arm: tuple(
+            np.array([PATH_LABELS.index(c.recs[a][j][1]) for c in cells], dtype=np.intp)
+            for j in range(1, len(cells[0].recs[a]))
+        )
+        for a, arm in enumerate("LR")
+    }
+    for array in (*edges, grid, outcomes, *bs_labels["L"], *bs_labels["R"]):
+        array.setflags(write=False)
+    return _CellTable(edges, grid, outcomes, bs_labels)
+
+
 def sample_bohmian_runs(
     circ: OpticalCircuit,
     n: int,
@@ -378,8 +512,9 @@ def sample_bohmian_runs(
     `hidden` can supply (labels0, coords0) directly, e.g. to reuse the same
     initial configurations across different settings: label indices in
     {0, 1} and coordinates in [0, 1), one row per run; n is then ignored.
-    A configuration the source state gives zero probability raises
-    RuntimeError.  Each beam-splitter angle is read as `float(theta)`.
+    Each run is read off the cell of `_cell_table` whose initial labels and
+    half-open rectangle hold it; a configuration that the source state gives
+    zero probability lies in no cell and raises RuntimeError.
     """
     if hidden is None:
         rng = stream(seed, stream_index)
@@ -399,75 +534,25 @@ def sample_bohmian_runs(
             raise ValueError("hidden label indices must lie in {0, 1}")
         if not np.all((coords0 >= 0.0) & (coords0 < 1.0)):
             raise ValueError("hidden coordinates outside [0, 1)")
-        n = labels0.shape[0]
 
-    state = np.broadcast_to(FLOAT_SOURCE, (n, 2, 2)).copy()
-    labels = labels0.copy()
-    xs = coords0.copy()
-    rows = np.arange(n)
-    bs_layers: dict = {"L": [], "R": []}
-    bs_labels: dict = {"L": [], "R": []}
-    outcomes = np.zeros((n, 2), dtype=np.intp)
-
-    for el in circ.elements:
-        a = 0 if el.arm == "L" else 1
-        other = labels[:, 1 - a]
-        if a == 0:
-            amps = state[rows[:, None], np.arange(2)[None, :], other[:, None]]
-        else:
-            amps = state[rows[:, None], other[:, None], np.arange(2)[None, :]]
-        pb = np.abs(amps) ** 2
-        tot = pb.sum(axis=1)
-        if not np.all(tot > 0):
-            raise RuntimeError("conditional state has zero norm")
-        pb = pb / tot[:, None]
-
-        if el.kind == "beam_splitter":
-            own = pb[rows, labels[:, a]]
-            if not np.all(own > _FLOAT_PROB_FLOOR):
-                raise RuntimeError("actual label at zero probability")
-            c = np.where(labels[:, a] == 1, pb[:, 0], 0.0) + xs[:, a] * own
-            b = beam_splitter_matrix(float(el.theta))
-            if a == 0:
-                state = np.einsum("ij,njk->nik", b, state)
-            else:
-                state = np.einsum("ij,nkj->nki", b, state)
-            if a == 0:
-                amps2 = state[rows[:, None], np.arange(2)[None, :], other[:, None]]
-            else:
-                amps2 = state[rows[:, None], other[:, None], np.arange(2)[None, :]]
-            pa = np.abs(amps2) ** 2
-            pa = pa / pa.sum(axis=1)[:, None]
-            new_lab = (c >= pa[:, 0]).astype(np.intp)
-            chosen = pa[rows, new_lab]
-            if not np.all(chosen > _FLOAT_PROB_FLOOR):
-                raise RuntimeError("transport hit a zero-probability label")
-            lo = np.where(new_lab == 1, pa[:, 0], 0.0)
-            xs[:, a] = (c - lo) / chosen
-            labels[:, a] = new_lab
-            bs_layers[el.arm].append(el.layer)
-            bs_labels[el.arm].append(new_lab.copy())
-        else:
-            num = np.where(
-                labels[:, a] == 0,
-                2 if el.kind == "erasure_detector" else 3,
-                1 if el.kind == "erasure_detector" else 4,
-            )
-            outcomes[:, a] = num
-            keep = labels[:, a]
-            mask = np.arange(2)[None, :] == keep[:, None]
-            if a == 0:
-                state = state * mask[:, :, None]
-            else:
-                state = state * mask[:, None, :]
-
+    table = _cell_table(circ)
+    box_l, box_r = (
+        np.searchsorted(edges, coords0[:, a], side="right") - 1
+        for a, edges in enumerate(table.edges)
+    )
+    cell = table.grid[labels0[:, 0], labels0[:, 1], box_l, box_r]
+    if np.any(cell < 0):
+        raise RuntimeError("a hidden configuration has zero probability under the source state")
     return BohmianSample(
         circuit=circ,
         labels0=labels0,
         coords0=coords0,
-        bs_layers={k: tuple(v) for k, v in bs_layers.items()},
-        bs_labels={k: tuple(v) for k, v in bs_labels.items()},
-        outcomes=outcomes,
+        bs_layers={
+            arm: tuple(e.layer for e in circ.arm_elements(arm) if e.kind == "beam_splitter")
+            for arm in "LR"
+        },
+        bs_labels={arm: tuple(labs[cell] for labs in table.bs_labels[arm]) for arm in "LR"},
+        outcomes=table.outcomes[cell],
     )
 
 
@@ -508,17 +593,6 @@ def _drawn_ahead(work, count: int, workers: int) -> Iterator[BohmianSample]:
 # exact enumeration of the transport
 
 
-@dataclass
-class _Cell:
-    labels0: tuple[int, int]
-    init: tuple  # ((a,b), (c,d)) initial coordinate rectangles
-    cur: tuple  # ((lo,hi), (lo,hi)) current intra-label coordinate intervals
-    labels: tuple[int, int]
-    state: list
-    recs: tuple  # (rec_left, rec_right)
-    outcome: dict
-
-
 @dataclass(frozen=True)
 class TransportEnumeration:
     """Exact pushforward of the equilibrium measure through the circuit."""
@@ -554,34 +628,14 @@ def _interval_len(iv):
 
 
 def enumerate_transport(circ: OpticalCircuit) -> TransportEnumeration:
-    """Split the hidden-variable space into cells with constant label history.
-
-    Cells are (initial joint label, coordinate sub-rectangle) pieces; the
-    transport map is affine on each piece, so finitely many cells capture the
-    whole dynamics and all measures are computed exactly, in closed form.
-    """
-    one, zero = ex.ONE, ex.ZERO
+    """The cell split of `_split_cells` in exact arithmetic, with the exact
+    measure of every cell and the Born weights at every layer."""
+    zero = ex.ZERO
     psi_ref = initial_state()
     psi0 = psi_ref.amplitudes.reshape(2, 2)
     label_weights = {
         (l, r): _prob(psi0[l][r]) for l, r in itertools.product(range(2), range(2))
     }
-
-    cells: list[_Cell] = []
-    for (l, r), w in label_weights.items():
-        if w == 0:
-            continue
-        cells.append(
-            _Cell(
-                labels0=(l, r),
-                init=((zero, one), (zero, one)),
-                cur=((zero, one), (zero, one)),
-                labels=(l, r),
-                state=[[psi0[0][0], psi0[0][1]], [psi0[1][0], psi0[1][1]]],
-                recs=(((0, PATH_LABELS[l]),), ((0, PATH_LABELS[r]),)),
-                outcome={},
-            )
-        )
 
     def cell_measure(cell: _Cell):
         return (
@@ -590,7 +644,7 @@ def enumerate_transport(circ: OpticalCircuit) -> TransportEnumeration:
             * _interval_len(cell.init[1])
         )
 
-    def label_distribution():
+    def label_distribution(cells):
         out: dict = {}
         for cell in cells:
             out[cell.labels] = out.get(cell.labels, zero) + cell_measure(cell)
@@ -600,71 +654,14 @@ def enumerate_transport(circ: OpticalCircuit) -> TransportEnumeration:
         amps = psi_ref.amplitudes.reshape(2, 2)
         return {(l, r): _prob(amps[l, r]) for l, r in itertools.product(range(2), range(2))}
 
-    layer_dists = [(0, label_distribution())]
+    steps = _split_cells(circ, psi0, _prob, _exact_beam_splitter, zero, ex.ONE)
+    cells = next(steps)
+    layer_dists = [(0, label_distribution(cells))]
     ref_dists = [(0, reference_distribution())]
-
-    for el in circ.elements:
-        arm = 0 if el.arm == "L" else 1
+    for el, cells in zip(circ.elements, steps):
         if el.kind == "beam_splitter":
-            b = _exact_beam_splitter(el)
-            psi_ref = hilbert.evolve(psi_ref, _joint_unitary(b, el.arm))
-            new_cells = []
-            for cell in cells:
-                other = cell.labels[1 - arm]
-                before = _conditional(cell.state, arm, other)
-                own = before[cell.labels[arm]]
-                if own == 0:
-                    raise RuntimeError("cell label carries zero conditional probability")
-                xlo, xhi = cell.cur[arm]
-                base = before[0] if cell.labels[arm] == 1 else zero
-                clo = base + xlo * own
-                chi = base + xhi * own
-                new_state = _apply_bs(cell.state, arm, b)
-                after = _conditional(new_state, arm, other)
-                bounds = [zero, after[0], one]
-                for k in range(2):
-                    plo = clo if bounds[k] < clo else bounds[k]
-                    phi = chi if chi < bounds[k + 1] else bounds[k + 1]
-                    if not plo < phi:
-                        continue
-                    frac_lo = (plo - clo) / (chi - clo)
-                    frac_hi = (phi - clo) / (chi - clo)
-                    ia, ib = cell.init[arm]
-                    init_arm = (ia + frac_lo * (ib - ia), ia + frac_hi * (ib - ia))
-                    cur_arm = ((plo - bounds[k]) / after[k], (phi - bounds[k]) / after[k])
-                    init = list(cell.init)
-                    cur = list(cell.cur)
-                    init[arm] = init_arm
-                    cur[arm] = cur_arm
-                    labels = list(cell.labels)
-                    labels[arm] = k
-                    recs = list(cell.recs)
-                    recs[arm] = recs[arm] + ((el.layer, PATH_LABELS[k]),)
-                    new_cells.append(
-                        _Cell(
-                            labels0=cell.labels0,
-                            init=tuple(init),
-                            cur=tuple(cur),
-                            labels=tuple(labels),
-                            state=new_state,
-                            recs=tuple(recs),
-                            outcome=dict(cell.outcome),
-                        )
-                    )
-            cells = new_cells
-        else:
-            for cell in cells:
-                lab = cell.labels[arm]
-                cell.outcome[el.arm] = f"{el.arm}{_detector_number(el.kind, lab)}"
-                dead = 1 - lab
-                st = [row[:] for row in cell.state]
-                for j in range(2):
-                    if arm == 0:
-                        st[dead][j] = zero
-                    else:
-                        st[j][dead] = zero
-                cell.state = st
-        layer_dists.append((el.layer, label_distribution()))
+            psi_ref = hilbert.evolve(psi_ref, _joint_unitary(_exact_beam_splitter(el), el.arm))
+        layer_dists.append((el.layer, label_distribution(cells)))
         ref_dists.append((el.layer, reference_distribution()))
 
     outcome_dist: dict = {}

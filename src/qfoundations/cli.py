@@ -43,6 +43,10 @@ _MAX_THETA_DENOMINATOR = 64
 # outcomes.csv rows are converted from numpy and formatted this many at a
 # time, so the writer's memory does not grow with the number of runs
 _CSV_CHUNK_ROWS = 4096
+# outcomes.csv row pieces: the initial labels at index 2 * label_L + label_R,
+# the detector numbers at 4 * outcome_L + outcome_R - 5
+_ROW_PREFIXES = np.array([",1,1,", ",1,2,", ",2,1,", ",2,2,"], dtype=object)
+_ROW_SUFFIXES = np.array([f",L{l},R{r}\n" for l in range(1, 5) for r in range(1, 5)], dtype=object)
 
 _COMMON_DEFAULTS = {
     "seed": 7,
@@ -278,18 +282,16 @@ def _outcome_rows(sample: circuit.BohmianSample, first_id: int):
     """The sample's outcomes.csv rows, run ids counted from `first_id`, as
     one string per `_CSV_CHUNK_ROWS` runs, converted from numpy that many at
     a time."""
-    label = circuit.PATH_LABELS.__getitem__
 
     def chunk(start):
         part = slice(start, start + _CSV_CHUNK_ROWS)
-        (lab_l, lab_r), (x_l, x_r), (out_l, out_r) = (
-            a[part].T.tolist() for a in (sample.labels0, sample.coords0, sample.outcomes)
-        )
-        rows = zip(
-            range(first_id + start, first_id + start + len(x_l)),
-            map(label, lab_l), map(label, lab_r), x_l, x_r, out_l, out_r,
-        )
-        return "".join(map("%d,%s,%s,%r,%r,L%d,R%d\n".__mod__, rows))
+        labels, outcomes = sample.labels0[part], sample.outcomes[part]
+        prefixes = _ROW_PREFIXES[2 * labels[:, 0] + labels[:, 1]].tolist()
+        suffixes = _ROW_SUFFIXES[4 * outcomes[:, 0] + outcomes[:, 1] - 5].tolist()
+        x_l, x_r = sample.coords0[part].T.tolist()
+        ids = range(first_id + start, first_id + start + len(x_l))
+        rows = zip(ids, prefixes, x_l, x_r, suffixes)
+        return "".join([f"{i}{pre}{a!r},{b!r}{suf}" for i, pre, a, b, suf in rows])
 
     return map(chunk, range(0, sample.n, _CSV_CHUNK_ROWS))
 

@@ -261,6 +261,35 @@ def _run_one(circ, labels, coords):
     return _run(circuit.sample_bohmian_runs(circ, 0, 0, hidden=([labels], [coords])), 0)
 
 
+_ONE_ULP_BELOW_ONE = 0.9999999999999999
+
+
+@pytest.mark.parametrize(
+    "rfirst,theta,coords",
+    [
+        (False, Fraction(1, 4), [0.0, _ONE_ULP_BELOW_ONE]),
+        (True, Fraction(1, 4), [_ONE_ULP_BELOW_ONE, 0.0]),
+        (False, Fraction(1, 8), [0.1464466094067262, _ONE_ULP_BELOW_ONE]),
+    ],
+)
+def test_transport_reads_a_coordinate_one_ulp_below_one_off_its_cell(rfirst, theta, coords):
+    # the second-acting arm's coordinate sits one ulp below 1, inside the
+    # enumeration cell [.., 1) whose history ends in (L2, R2); a sequential
+    # float transport rounded it onto a zero-probability label and raised
+    angle = exact.pi_times(theta)
+    circ = circuit.build_eraser(INT, INT, theta_left=angle, theta_right=angle,
+                                right_acts_first=rfirst)
+    holding = [
+        cell for cell in circuit.enumerate_transport(circ).cells
+        if cell.labels0 == (1, 1)
+        and all(float(lo) <= x < float(hi) for (lo, hi), x in zip(cell.init, coords))
+    ]
+    assert len(holding) == 1
+    outcome, records = _run_one(circ, [1, 1], coords)
+    assert outcome == ("L2", "R2") == (holding[0].outcome["L"], holding[0].outcome["R"])
+    assert records == holding[0].recs
+
+
 def test_transport_left_first_outcome_set_by_left_coordinate():
     circ = circuit.build_eraser(INT, INT)
     outcome, (rec_l, rec_r) = _run_one(circ, [0, 0], [0.3, 0.7])

@@ -210,6 +210,39 @@ def test_eraser_montecarlo_memory_does_not_grow_with_runs(tmp_path, capsys):
     assert large <= 1.1 * small, (small, large)
 
 
+_FAULTS_PER_ERASER_CHUNK = """
+import contextlib, io, resource, tempfile
+from qfoundations.cli import main
+
+def faults(trials):
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        main(["run", "eraser", "--mode", "montecarlo", "--trials", str(trials),
+              "--format", "json", "--out", out])
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+faults(10000)
+print((faults(500000) - faults(250000)) / 25)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor-fault counts are read on Linux")
+def test_eraser_montecarlo_chunks_do_not_fault_in_fresh_memory():
+    # 250 000 and 500 000 runs draw 25 and 50 chunks of 10 000; the extra 25
+    # chunks must not each fault in hundreds of fresh pages, as a transport
+    # that held an (n, 2, 2) complex state per chunk did.  A fresh
+    # interpreter with the allocator at its defaults counts the faults.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(circuit.__file__)))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = src
+    out = subprocess.run(
+        [sys.executable, "-c", _FAULTS_PER_ERASER_CHUNK],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    per_chunk = float(out.stdout)
+    assert per_chunk < 200, f"{per_chunk} extra minor faults per chunk"
+
+
 def test_eraser_setting_flags(tmp_path, capsys):
     out = tmp_path / "wp"
     code = main(["run", "eraser", "--out", str(out), "--left", "whichpath",
