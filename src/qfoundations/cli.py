@@ -43,10 +43,20 @@ _MAX_THETA_DENOMINATOR = 64
 # outcomes.csv rows are converted from numpy and formatted this many at a
 # time, so the writer's memory does not grow with the number of runs
 _CSV_CHUNK_ROWS = 4096
-# outcomes.csv row pieces: the initial labels at index 2 * label_L + label_R,
-# the detector numbers at 4 * outcome_L + outcome_R - 5
-_ROW_PREFIXES = np.array([",1,1,", ",1,2,", ",2,1,", ",2,2,"], dtype=object)
+# outcomes.csv row pieces: the initial labels and x_L's head at index
+# 5 * (2 * label_L + label_R) + z, "," and x_R's head at z, the detector
+# numbers at 4 * outcome_L + outcome_R - 5; a head is "0." and z zeros before
+# the digits, or nothing before a repr at z = 4
+_HEADS = ["0." + "0" * z for z in range(4)] + [""]
+_ROW_HEADS_L = np.array([f",{l},{r},{h}" for l in (1, 2) for r in (1, 2) for h in _HEADS], dtype=object)
+_ROW_HEADS_R = np.array(["," + h for h in _HEADS], dtype=object)
 _ROW_SUFFIXES = np.array([f",L{l},R{r}\n" for l in range(1, 5) for r in range(1, 5)], dtype=object)
+# x is at least 10^-j exactly when x >= 10.0**-j (each of these doubles lies
+# above its power of ten); with dec of them at or below x, x * 10^k has 17
+# digits before the point at k = 21 - dec, where 10^k and 5^k are exact
+_DECADES = np.array([1e-4, 1e-3, 1e-2, 1e-1])
+_K = 21 - np.arange(5)
+_POW10, _POW5 = 10.0**_K, 5.0**_K
 
 _COMMON_DEFAULTS = {
     "seed": 7,
@@ -278,20 +288,78 @@ def _enumeration_runs(enum: circuit.TransportEnumeration) -> list[dict]:
     return runs
 
 
+def _split(a):
+    """a as hi + lo, each with at most 26 significant bits (Veltkamp)."""
+    t = 134217729.0 * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _round_off(n, r, unit):
+    """(n + r) / unit rounded to nearest, for int64 n and |r| <= 1/2, and
+    the distance from n + r to unit times it."""
+    q, m = np.divmod(n, unit)
+    up = m + r > unit / 2
+    return q + up, np.abs(m + r - unit * up)
+
+
+def _shortest_digits(x):
+    """(digits, zeros, ok) with `repr(x)` == "0." + "0" * zeros + str(digits)
+    wherever ok, for float64 x in [0, 1): the shortest decimal that reads
+    back as x, and of those the nearest (Steele & White 1990, Gay 1990).
+
+    n17 + r == x * 10^k exactly (Dekker's product).  n17 always reads back,
+    and the 16- and 15-digit roundings do when nearer x than half an ulp.
+    None is exactly that far: x plus or minus half an ulp has 54 significant
+    bits, a binary fraction of at most 17 decimal digits in [1e-4, 1) has at
+    most 17.  A decimal of 15 digits or fewer that reads back is the 15-digit
+    rounding.  None rounds up to 10^-j, which would read back as a double
+    at or above 10^-j.  Not ok: x below 1e-4, a power of two (its interval
+    is uneven), a tie at 17 or 16 digits.
+    """
+    dec = np.searchsorted(_DECADES, x, side="right")
+    p = _POW10[dec]
+    hi = x * p
+    (xh, xl), (ph, pl) = _split(x), _split(p)
+    lo = ((xh * ph - hi) + xh * pl + xl * ph) + xl * pl
+    floor = np.floor(lo)
+    up = lo - floor > 0.5
+    n17 = hi.astype(np.int64) + floor.astype(np.int64) + up
+    r = lo - floor - up
+    mant, exp = np.frexp(x)
+    half_ulp = np.ldexp(_POW5[dec], exp - 54 + _K[dec])  # times 10^k, exact
+    (n16, d16), (n15, d15) = _round_off(n17, r, 10), _round_off(n17, r, 100)
+    digits = np.where(d15 < half_ulp, n15, np.where(d16 < half_ulp, n16, n17))
+    ok = (dec > 0) & (mant != 0.5) & (r != 0.5) & (d16 != 5)
+    while (zero := ok & (digits % 10 == 0)).any():
+        digits = np.where(zero, digits // 10, digits)
+    return digits, 4 - dec, ok
+
+
 def _outcome_rows(sample: circuit.BohmianSample, first_id: int):
     """The sample's outcomes.csv rows, run ids counted from `first_id`, as
     one string per `_CSV_CHUNK_ROWS` runs, converted from numpy that many at
-    a time."""
+    a time.
+
+    Each coordinate is Python's shortest round-trip decimal, as `repr`
+    prints it: from `_shortest_digits`, or by `repr` where that is not ok.
+    The pins in tests/golden_digests.json guard these bytes.
+    """
 
     def chunk(start):
         part = slice(start, start + _CSV_CHUNK_ROWS)
-        labels, outcomes = sample.labels0[part], sample.outcomes[part]
-        prefixes = _ROW_PREFIXES[2 * labels[:, 0] + labels[:, 1]].tolist()
+        labels, outcomes, x = sample.labels0[part], sample.outcomes[part], sample.coords0[part]
+        digits, zeros, ok = _shortest_digits(x)
+        zeros = np.where(ok, zeros, 4)
+        heads_l = _ROW_HEADS_L[5 * (2 * labels[:, 0] + labels[:, 1]) + zeros[:, 0]].tolist()
+        heads_r = _ROW_HEADS_R[zeros[:, 1]].tolist()
         suffixes = _ROW_SUFFIXES[4 * outcomes[:, 0] + outcomes[:, 1] - 5].tolist()
-        x_l, x_r = sample.coords0[part].T.tolist()
-        ids = range(first_id + start, first_id + start + len(x_l))
-        rows = zip(ids, prefixes, x_l, x_r, suffixes)
-        return "".join([f"{i}{pre}{a!r},{b!r}{suf}" for i, pre, a, b, suf in rows])
+        d_l, d_r = digits.T.tolist()
+        for i, arm in zip(*np.nonzero(~ok)):
+            (d_l, d_r)[arm][i] = repr(float(x[i, arm]))
+        ids = range(first_id + start, first_id + start + len(d_l))
+        rows = zip(ids, heads_l, d_l, heads_r, d_r, suffixes)
+        return "".join([f"{i}{hl}{a}{hr}{b}{suf}" for i, hl, a, hr, b, suf in rows])
 
     return map(chunk, range(0, sample.n, _CSV_CHUNK_ROWS))
 

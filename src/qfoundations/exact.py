@@ -392,6 +392,14 @@ class Cyclotomic:
         s = self._compare(other)
         return NotImplemented if s is None else s > 0
 
+    def __le__(self, other):
+        s = self._compare(other)
+        return NotImplemented if s is None else s <= 0
+
+    def __ge__(self, other):
+        s = self._compare(other)
+        return NotImplemented if s is None else s >= 0
+
     def __abs__(self):
         return -self if self.sign() < 0 else self
 

@@ -141,6 +141,25 @@ def test_undecidable_sign_raises_a_typed_error():
     assert abs(-exact.SQRT2) == exact.SQRT2
 
 
+def test_non_strict_comparisons_agree_with_lt_and_eq():
+    c = exact.pi_times(Fraction(1, 8)).cos()
+    rationals = [exact.ZERO + q for q in (Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(9, 10))]
+    for x in [*rationals, c, -c, c * c]:
+        for y in [0, 1, Fraction(1, 2), Fraction(9, 10), *rationals, c]:
+            assert (x <= y) == (x < y or x == y)
+            assert (x >= y) == (not x < y)
+            # the reflected forms: y <= x calls x.__ge__ for a Fraction or int y
+            assert (y <= x) == (x >= y)
+            assert (y >= x) == (x <= y)
+    assert c <= c and c >= c and c >= 0 and not c <= Fraction(1, 2)
+    i = exact.pi_times(Fraction(1, 2)).exp_i()
+    for compare in (i.__le__, i.__ge__):
+        with pytest.raises(TypeError):
+            compare(0)
+    with pytest.raises(TypeError):
+        _ = 0 <= i
+
+
 def test_non_real_elements_have_no_sign_or_float():
     i = exact.pi_times(Fraction(1, 2)).exp_i()
     with pytest.raises(TypeError):
