@@ -56,7 +56,6 @@ import functools
 import itertools
 import math
 from collections import Counter, deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -477,7 +476,7 @@ def _cell_table(circ: OpticalCircuit) -> _CellTable:
             lambda el: beam_splitter_matrix(float(el.theta)), 0.0, 1.0,
         )
     rects = np.array([[[float(v) for v in iv] for iv in c.init] for c in cells])
-    edges = tuple(np.unique(rects[:, a]) for a in range(2))
+    edges = tuple(hilbert._unique(rects[:, a]) for a in range(2))
     grid = np.full((2, 2, edges[0].size - 1, edges[1].size - 1), -1, dtype=np.intp)
     for k, (cell, rect) in enumerate(zip(cells, rects)):
         (l0, h0), (l1, h1) = (np.searchsorted(e, rect[a]) for a, e in enumerate(edges))
@@ -579,6 +578,9 @@ def sample_eraser(circ, n: int, seed: int, workers: int, base_index: int) -> Ite
 def _drawn_ahead(work, count: int, workers: int) -> Iterator[BohmianSample]:
     """work(0), ..., work(count - 1) in order, computed on `workers` threads
     with at most `workers` results submitted and not yet yielded."""
+    # imported here, so a run at one worker never loads concurrent.futures
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         ahead: deque = deque()
         for i in range(count):

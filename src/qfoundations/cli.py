@@ -161,13 +161,11 @@ def _merge_config(args) -> dict:
         if isinstance(value, float) and not math.isfinite(value):
             raise _fail_usage(f"config error at $.{key}: {value!r} is not a finite number")
 
-    import jsonschema
-
-    validator = jsonschema.Draft202012Validator(schemas.SCENARIO_CONFIG)
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: str(e.json_path))
+    # a stable sort by path keeps each path's errors in keyword order
+    errors = sorted(schemas.errors(schemas.SCENARIO_CONFIG, cfg), key=lambda e: e[0])
     if errors:
-        for err in errors:
-            print(f"qfoundations: config error at {err.json_path}: {err.message}", file=sys.stderr)
+        for path, message in errors:
+            print(f"qfoundations: config error at {path}: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
     # checks that span fields, made before anything is written

@@ -458,6 +458,15 @@ def measure(state: StateVector, obs: Observable, rng: np.random.Generator):
 _post_state = collapse
 
 
+def _unique(a) -> np.ndarray:
+    """The sorted distinct values of `a`, flattened, as `np.unique(a)` gives
+    them for NaN-free input; np.unique would load numpy.ma on its first call."""
+    a = np.sort(a, axis=None)
+    keep = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def measure_many(
     state: StateVector, obs: Observable, rng: np.random.Generator, n: int, collapse: bool = True
 ) -> np.ndarray:
@@ -478,13 +487,13 @@ def measure_many(
     current = np.zeros(n, dtype=np.intp)  # index into states, per run
     for r in range(2):
         nxt = current.copy()
-        for sid in np.unique(current):
+        for sid in _unique(current):
             rows = np.flatnonzero(current == sid)
             # np.cumsum adds in order, like the running sum in `measure`
             cum = np.cumsum(_outcome_probabilities(states[sid], obs))
             k = np.minimum(np.searchsorted(cum, u[rows, r], side="right"), len(cum) - 1)
             picks[rows, r] = k
-            for o in np.unique(k):
+            for o in _unique(k):
                 post = _post_state(states[sid], obs, obs.outcomes[o])
                 if collapse:
                     states.append(post)

@@ -4,14 +4,19 @@ The same dictionaries back three uses: validating scenario configs before a
 run, validating emitted artifacts in the test-suite, and the `schema` verb
 which prints them.  `write_schemas` dumps them into a directory; the copies
 under docs/schemas are generated that way and shipped with the repository.
+Configs are checked by `errors`, which knows just the KEYWORDS used here, so
+a run needs no jsonschema; the tests check `errors` against jsonschema.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
+import operator
 import os
+import re
 
-__all__ = ["SCHEMAS", "write_schemas"]
+__all__ = ["KEYWORDS", "SCHEMAS", "errors", "write_schemas"]
 
 _SETTING = {"enum": ["interference", "whichpath"]}
 _LABEL = {"enum": ["1", "2"]}
@@ -304,3 +309,74 @@ def write_schemas(directory: str) -> list[str]:
             fh.write("\n")
         paths.append(path)
     return paths
+
+
+# keyword -> (the comparison that fails, jsonschema's wording of it)
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum of"),
+    "maximum": (operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum of"),
+}
+_TYPES = {"string": str, "boolean": bool, "array": list, "object": dict, "null": type(None),
+          "number": numbers.Number, "integer": int}
+# what `errors` checks; it skips the annotations $schema, $id and title
+KEYWORDS = frozenset({*_BOUNDS, "type", "enum", "pattern", "items", "prefixItems", "minItems",
+                      "maxItems", "uniqueItems", "properties", "required", "additionalProperties"})
+
+
+def _is(kind: str, doc) -> bool:
+    """Whether `doc` has JSON type `kind`: a bool is never a number, and an
+    integral float is an integer."""
+    if kind in ("integer", "number") and isinstance(doc, bool):
+        return False
+    return isinstance(doc, _TYPES[kind]) or kind == "integer" and isinstance(doc, float) and doc.is_integer()
+
+
+def _equal(a, b) -> bool:
+    """JSON equality: a bool equals no number; arrays and objects compare by item."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(v, b[k]) for k, v in a.items())
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def errors(schema: dict, doc, path: str = "$"):
+    """Yield (JSON path, message) for each way `doc` breaks `schema`, worded
+    and, within one path, ordered as by jsonschema's Draft 2020-12 validator.
+    Every keyword in KEYWORDS is checked, also after a type error."""
+    for key, want in schema.items():
+        if key == "type":
+            kinds = [want] if isinstance(want, str) else want
+            if not any(_is(kind, doc) for kind in kinds):
+                yield path, f"{doc!r} is not of type {', '.join(map(repr, kinds))}"
+        elif key == "enum" and not any(_equal(each, doc) for each in want):
+            yield path, f"{doc!r} is not one of {want!r}"
+        elif key in _BOUNDS and _is("number", doc) and _BOUNDS[key][0](doc, want):
+            yield path, f"{doc!r} is {_BOUNDS[key][1]} {want!r}"
+        elif key == "pattern" and isinstance(doc, str) and not re.search(want, doc):
+            yield path, f"{doc!r} does not match {want!r}"
+        elif key in ("prefixItems", "items") and isinstance(doc, list):
+            prefix = len(schema.get("prefixItems", ()))
+            for i, item in enumerate(doc):
+                if (i < prefix) == (key == "prefixItems"):
+                    yield from errors(want[i] if i < prefix else want, item, f"{path}[{i}]")
+        elif key == "minItems" and isinstance(doc, list) and len(doc) < want:
+            yield path, f"{doc!r} {'should be non-empty' if want == 1 else 'is too short'}"
+        elif key == "maxItems" and isinstance(doc, list) and len(doc) > want:
+            yield path, f"{doc!r} {'is expected to be empty' if want == 0 else 'is too long'}"
+        elif key == "uniqueItems" and want and isinstance(doc, list):
+            if any(_equal(a, b) for i, a in enumerate(doc) for b in doc[i + 1:]):
+                yield path, f"{doc!r} has non-unique elements"
+        elif key == "properties" and isinstance(doc, dict):
+            for name, sub in want.items():
+                if name in doc:
+                    yield from errors(sub, doc[name], f"{path}.{name}")
+        elif key == "required" and isinstance(doc, dict):
+            yield from ((path, f"{name!r} is a required property") for name in want if name not in doc)
+        elif key == "additionalProperties" and want is False and isinstance(doc, dict):
+            extras = sorted((k for k in doc if k not in schema.get("properties", {})), key=str)
+            if extras:
+                yield path, "Additional properties are not allowed (%s %s unexpected)" % (
+                    ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were")

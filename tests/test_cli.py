@@ -305,6 +305,29 @@ def test_import_leaves_sympy_unloaded():
     assert done.stdout.strip() == "False"
 
 
+_LOADED_BY_RUNS = """
+import json, sys, tempfile
+from qfoundations import cli
+runs = (["claims_suite", "--trials", "20000"], ["eraser", "--mode", "montecarlo", "--trials", "5000"],
+        ["free_packet", "--trials", "200", "--steps", "100"])
+with tempfile.TemporaryDirectory() as out:
+    for args in runs:
+        if cli.main(["run", *args, "--workers", "1", "--out", f"{out}/{args[0]}"]) != 0:
+            sys.exit(f"run failed: {args}")
+print(json.dumps([m for m in ("jsonschema", "numpy.ma", "concurrent.futures") if m in sys.modules]))
+"""
+
+
+def test_runs_at_one_worker_load_no_validator_masked_arrays_or_thread_pool():
+    # each costs import time and memory that a run at one worker never uses
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADED_BY_RUNS], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
 def test_module_run_writes_nothing_to_stderr(tmp_path):
     # `python -m qfoundations.cli` must not find the cli module imported
     # already by the package, which makes runpy warn on every run

@@ -373,3 +373,17 @@ def test_density_validation_rejects_bad_trace():
     space = hilbert.HilbertSpace(["1", "2"])
     with pytest.raises(ValueError, match="trace"):
         hilbert.DensityMatrix(space, np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.array([], dtype=np.intp),
+        np.array([3, 1, 3, 0, 1], dtype=np.intp),
+        np.array([[0.5, 0.0], [1.0, 0.5], [0.0, 0.25]])[:, 0],
+        np.array([[0.5, 0.0], [1.0, 0.5], [0.0, 0.25]]),
+    ],
+)
+def test_unique_is_numpys_unique(a):
+    got, want = hilbert._unique(a), np.unique(a)
+    assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)

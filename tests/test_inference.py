@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 from fractions import Fraction
 
@@ -558,3 +559,60 @@ def test_one_claim_runs_alone():
 def test_claim_evidence_refuses_zero_trials():
     with pytest.raises(ValueError, match=r"n must be at least 1, got n=0"):
         inference.claim_evidence(seed=3, trials=0)
+
+
+# ---------------------------------------------------------------------------
+# verdict rules at their boundaries, on constructed inputs: each rule is
+# otherwise reached only at the points the pinned seeds happen to give
+
+
+@pytest.mark.parametrize(
+    "ci, verdict",
+    [
+        ((0.001, 0.2), inference.VIOLATED),
+        ((-0.2, -0.001), inference.VIOLATED),
+        ((-0.049, 0.049), inference.SATISFIED),
+        ((0.0, 0.0), inference.SATISFIED),
+        # straddling zero but reaching the margin on either side: too wide
+        # to bless, however close to zero its other end lies
+        ((-0.001, 0.2), inference.INCONCLUSIVE),
+        ((-0.2, 0.001), inference.INCONCLUSIVE),
+        ((-0.05, 0.0), inference.INCONCLUSIVE),
+        ((0.0, 0.05), inference.INCONCLUSIVE),
+    ],
+)
+def test_interval_verdict_at_the_margin(ci, verdict):
+    assert inference._interval_verdict(*ci, margin=0.05) == verdict
+
+
+@pytest.mark.parametrize(
+    "bounds, verdict",
+    [
+        ((1e-9, 0.5), inference.VIOLATED),
+        ((0.0, 0.5), inference.INCONCLUSIVE),
+        ((-1e-9, 0.5), inference.INCONCLUSIVE),
+    ],
+)
+def test_setting_dependence_is_violated_only_when_the_lower_bound_clears_zero(monkeypatch, bounds, verdict):
+    monkeypatch.setattr(inference, "wilson_interval", lambda k, n, *args: bounds)
+    report = inference.trajectory_setting_dependence(50, seed=1)
+    assert report.statistic > 0
+    assert report.verdict == verdict
+
+
+def _agreement_evidence(k, n):
+    """Stand-in evidence: two equally likely pairs, one seen k times in n."""
+    pairs = [("L1", "R1"), ("L2", "R2")]
+    return SimpleNamespace(
+        counts={inference._II: Counter({pairs[0]: k, pairs[1]: n - k})},
+        tables={inference._II: {pairs[0]: 0.5, pairs[1]: 0.5}},
+    )
+
+
+@pytest.mark.parametrize("k, verdict", [(5149, inference.SATISFIED), (5151, inference.VIOLATED),
+                                        (4849, inference.VIOLATED), (5000, inference.SATISFIED)])
+def test_correlation_agreement_at_three_standard_errors(k, verdict):
+    # z = |k - 5000| / 50 at n = 10 000: 2.98 and 3.02 around the 3.0 threshold
+    report = inference._correlation_agreement(_agreement_evidence(k, 10000))
+    assert report.threshold == 3.0
+    assert report.verdict == verdict

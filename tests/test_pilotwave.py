@@ -580,3 +580,26 @@ def test_conditional_on_node_rejected():
     psi = pilotwave.GridWavefunction(grid, values)
     with pytest.raises(ValueError, match="node|norm"):
         pilotwave.conditional_wavefunction(psi, axis=1, value=0.0)
+
+
+@pytest.mark.parametrize("n_absorbed, invalid", [(0, False), (10, False), (11, True), (500, True)])
+def test_equivariance_is_invalid_above_one_percent_absorbed(n_absorbed, invalid):
+    # 1000 trajectories at the quantiles of |psi|^2, the first n_absorbed of
+    # them flagged absorbed: 10 is exactly 1%, 11 one trajectory over
+    grid = pilotwave.GridSpec.make((-12.0, 12.0, 512))
+    psi = pilotwave.init_wavefunction(
+        grid, pilotwave.GaussianProfile(center=(0.0,), width=(1.0,), momentum=(0.0,))
+    )
+    axis, masses = grid.axes[0], psi.density()
+    cdf = np.concatenate([[0.0], np.cumsum(masses / masses.sum())])
+    # the CDF that check_equivariance tests against is linear across each
+    # node-centred cell
+    edges = axis.qmin + axis.dq * (np.arange(axis.npoints + 1) - 0.5)
+    positions = np.interp((np.arange(1000) + 0.5) / 1000, cdf, edges)
+    absorbed_at = np.where(np.arange(1000) < n_absorbed, 0, -1)
+    run = pilotwave.TrajectoryRun(
+        grid, 0.001, np.array([0]), np.array([0.0]), positions.reshape(1, 1000, 1), absorbed_at, (psi,)
+    )
+    report = pilotwave.check_equivariance(run)
+    assert report.n_absorbed == n_absorbed
+    assert report.verdict == ("invalid" if invalid else "pass")
