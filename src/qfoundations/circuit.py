@@ -606,12 +606,6 @@ class TransportEnumeration:
     outcome_distribution: dict  # (left name, right name) -> weight
     record_distribution: dict  # ((rec_L, rec_R)) -> weight
 
-    def left_marginal(self) -> dict:
-        out: dict = {}
-        for (l, _), w in self.outcome_distribution.items():
-            out[l] = out.get(l, 0) + w
-        return dict(sorted(out.items()))
-
     def initial_label_distribution(self) -> dict:
         psi0 = initial_state().amplitudes.reshape(2, 2)
         out: dict = {}

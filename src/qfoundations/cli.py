@@ -8,7 +8,9 @@ through counter-based streams keyed (seed, purpose index) and Monte-Carlo
 work is split into fixed-size chunks whose streams do not depend on how
 many threads consume them.  The Monte-Carlo eraser folds each chunk into its
 artifacts as it arrives, in stream order, so its memory does not grow with
-the number of runs.
+the number of runs.  Runners return their artifacts unbuilt; one emitter
+builds and writes those in the requested formats, and a run that fails
+leaves neither a file it started nor a manifest.
 
 Exit codes: 0 success, 1 usage or config error, 2 runtime failure, 3 claims
 suite verdict mismatch.
@@ -18,7 +20,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -39,6 +43,12 @@ EXIT_CLAIMS = 3
 
 # analytic --theta must be k*pi/q with q at most this
 _MAX_THETA_DENOMINATOR = 64
+
+# a grid packet's momentum density has standard deviation 1/(2 width); this
+# many of them must lie within the grid's Nyquist wavenumber pi/dq, which
+# leaves under 1e-6 of that density beyond it, the share of |psi|^2 that the
+# grid allows outside [qmin, qmax]
+_NYQUIST_SPREADS = 5
 
 # outcomes.csv rows are converted from numpy and formatted this many at a
 # time, so the writer's memory does not grow with the number of runs
@@ -184,6 +194,19 @@ def _merge_config(args) -> dict:
             f"config error at $.trials: {cfg['trials']} is too few; the Monte-Carlo "
             "standard error needs a sample variance, so at least 2 trials per setting"
         )
+    if _SCENARIOS[cfg["scenario"]][0] is _run_grid_scenario and cfg["qmax"] > cfg["qmin"]:
+        harmonic = cfg["scenario"] == "harmonic"
+        key = "omega" if harmonic else "sigma"
+        width = math.sqrt(1.0 / (2.0 * cfg["omega"])) if harmonic else cfg["sigma"]
+        dq = (cfg["qmax"] - cfg["qmin"]) / cfg["npoints"]
+        if _NYQUIST_SPREADS / (2.0 * width) > math.pi / dq:
+            raise _fail_usage(
+                f"config error at $.{key}: {cfg[key]!r} under-resolves the packet on this grid: "
+                f"the rule is {_NYQUIST_SPREADS}/(2*width) <= pi/dq (the Nyquist wavenumber), "
+                f"with width = {'sqrt(1/(2*omega))' if harmonic else 'sigma'} = {width:.6g} and "
+                f"dq = {dq:.6g}, so the width must be at least "
+                f"{_NYQUIST_SPREADS}*dq/(2*pi) = {_NYQUIST_SPREADS * dq / (2 * math.pi):.6g}"
+            )
     return cfg
 
 
@@ -192,52 +215,71 @@ def _pi_fraction(theta: float):
 
 
 # ---------------------------------------------------------------------------
-# emission helpers
+# emission: a runner returns (artifacts, whether every verdict it checks came
+# out as expected).  An artifact is (path relative to the output directory,
+# build); its format is the path's extension, and build() gives its payload:
+# a JSON value, an iterator of CSV text chunks, or SVG text.
 
 
-def _write_json(path: str, payload) -> str:
-    with open(path, "w", newline="\n") as fh:
+def _write(fh, kind: str, payload) -> None:
+    if kind == "json":
+        # json.dump writes as it encodes, so no whole-document token list is held
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
+    elif kind == "csv":
+        fh.writelines(payload)
+    else:
+        fh.write(payload)
 
 
-def _write_csv(path: str, header: list[str], row_format: str, rows) -> str:
-    """The header line, then `row_format % row` for each row tuple; the
-    format ends in the newline."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(map(row_format.__mod__, rows))
-    return path
+def _csv(header: str, row_format: str, rows):
+    """CSV text chunks: the header line, then `row_format % row` for each
+    row tuple; the format ends in the newline."""
+    return itertools.chain([header + "\n"], map(row_format.__mod__, rows))
 
 
-def _write_text(path: str, text: str) -> str:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
-    return path
-
-
-def _write_manifest(outdir: str, cfg: dict, files: list[str]) -> str:
-    entries = []
-    for path in sorted(files):
-        # hashed in blocks, so no artifact is read whole
-        with open(path, "rb") as fh:
-            digest = hashlib.file_digest(fh, "sha256").hexdigest()
-        entries.append(
-            {
-                "path": os.path.relpath(path, outdir),
-                "sha256": digest,
-                "bytes": os.path.getsize(path),
-            }
-        )
-    manifest = {
-        "scenario": cfg["scenario"],
-        "mode": cfg["mode"],
-        "seed": cfg["seed"],
-        "config": cfg,
-        "files": entries,
-    }
-    return _write_json(os.path.join(outdir, "manifest.json"), manifest)
+def _emit(cfg: dict, runner) -> tuple[int, bool]:
+    """Run `runner` and write each artifact whose format is in
+    cfg["formats"], building its payload only then; last, manifest.json
+    with every file's sha256.  Returns the number of files written and the
+    runner's verdict flag.  A manifest left by an earlier run in the same
+    directory is removed first: it lists bytes this run may overwrite.  If
+    anything raises, every file this run started is removed and the error
+    propagates."""
+    outdir = cfg["out"]
+    manifest = os.path.join(outdir, "manifest.json")
+    started = []
+    try:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(manifest)
+        artifacts, ok = runner(cfg)
+        for rel, build in artifacts:
+            kind = rel.rpartition(".")[2]
+            if kind in cfg["formats"]:
+                path = os.path.join(outdir, rel)
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                started.append(path)
+                with open(path, "w", newline="\n") as fh:
+                    _write(fh, kind, build())
+        entries = []
+        for path in sorted(started):
+            # hashed in blocks, so no artifact is read whole
+            with open(path, "rb") as fh:
+                digest = hashlib.file_digest(fh, "sha256").hexdigest()
+            entries.append(
+                {"path": os.path.relpath(path, outdir), "sha256": digest, "bytes": os.path.getsize(path)}
+            )
+        payload = {"scenario": cfg["scenario"], "mode": cfg["mode"], "seed": cfg["seed"],
+                   "config": cfg, "files": entries}
+        started.append(manifest)
+        with open(manifest, "w", newline="\n") as fh:
+            _write(fh, "json", payload)
+    except BaseException:
+        for path in started:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        raise
+    return len(started), ok
 
 
 def _joint_distribution_payload(circ, dist, mode, n=None, counts=None) -> dict:
@@ -362,8 +404,7 @@ def _outcome_rows(sample: circuit.BohmianSample, first_id: int):
     return map(chunk, range(0, sample.n, _CSV_CHUNK_ROWS))
 
 
-def _run_eraser(cfg: dict, outdir: str) -> tuple[list[str], bool]:
-    files = []
+def _run_eraser(cfg: dict):
     analytic = cfg["mode"] == "analytic"
     theta = cfg["theta"]
     if analytic and theta is not None:
@@ -376,81 +417,54 @@ def _run_eraser(cfg: dict, outdir: str) -> tuple[list[str], bool]:
         theta_right=theta,
         right_acts_first=cfg["right_acts_first"],
     )
+    if not analytic:
+        return _montecarlo_eraser(cfg, circ), True
 
-    if analytic:
-        dist = circuit.copenhagen_joint_distribution(circ)
-        enum = circuit.enumerate_transport(circ)
-        if "json" in cfg["formats"]:
-            files.append(
-                _write_json(
-                    os.path.join(outdir, "joint_distribution.json"),
-                    _joint_distribution_payload(circ, dist, "analytic"),
-                )
-            )
-            files.append(
-                _write_json(
-                    os.path.join(outdir, "transport_distribution.json"),
-                    _joint_distribution_payload(circ, enum.outcome_distribution, "analytic"),
-                )
-            )
-        if "csv" in cfg["formats"]:
-            rows = [
-                (left, right, float(p)) for (left, right), p in sorted(dist.items())
-            ]
-            files.append(
-                _write_csv(
-                    os.path.join(outdir, "joint_distribution.csv"),
-                    ["left", "right", "probability"],
-                    "%s,%s,%r\n",
-                    rows,
-                )
-            )
-        if "svg" in cfg["formats"]:
-            svg = svgplot.render_eraser_records(_enumeration_runs(enum))
-            files.append(_write_text(os.path.join(outdir, "records.svg"), svg))
-        return files, True
+    dist = circuit.copenhagen_joint_distribution(circ)
+    enum = circuit.enumerate_transport(circ)
+    rows = [(left, right, float(p)) for (left, right), p in sorted(dist.items())]
+    return [
+        ("joint_distribution.json", lambda: _joint_distribution_payload(circ, dist, "analytic")),
+        ("transport_distribution.json",
+         lambda: _joint_distribution_payload(circ, enum.outcome_distribution, "analytic")),
+        ("joint_distribution.csv", lambda: _csv("left,right,probability", "%s,%s,%r\n", rows)),
+        ("records.svg", lambda: svgplot.render_eraser_records(_enumeration_runs(enum))),
+    ], True
 
-    # fold each chunk in as it arrives: counts, outcomes.csv rows, and the
-    # first runs of the stream for path_records.json / records.svg
-    formats = cfg["formats"]
-    keep = 500 if "json" in formats else 20 if "svg" in formats else 0
+
+def _montecarlo_eraser(cfg: dict, circ):
+    """The Monte-Carlo eraser's artifacts, drawn chunk by chunk.  The path
+    records come from the first chunk, which holds the first min(n, 10000)
+    runs.  One chunk iterator feeds outcomes.csv and the count fold; the
+    chunks that the CSV did not take are then drained into the counts, so a
+    run without the CSV formats no row."""
+    parts = circuit.sample_eraser(circ, cfg["trials"], cfg["seed"], cfg["workers"], IDX_ERASER_A)
+    first = next(parts)
+    yield "path_records.json", lambda: first.run_dicts(500)
+    yield "records.svg", lambda: svgplot.render_eraser_records(first.run_dicts(20))
     counts: Counter = Counter()
-    runs: list[dict] = []
     n = 0
-    csv_path = os.path.join(outdir, "outcomes.csv")
-    try:
-        with open(csv_path, "w", newline="\n") if "csv" in formats else contextlib.nullcontext() as csv:
-            if csv:
-                csv.write("run_id,label_L,label_R,x_L,x_R,outcome_L,outcome_R\n")
-            chunks = circuit.sample_eraser(circ, cfg["trials"], cfg["seed"], cfg["workers"], IDX_ERASER_A)
-            for part in chunks:
-                counts.update(part.outcome_counts())
-                if csv:
-                    csv.writelines(_outcome_rows(part, n))
-                if len(runs) < keep:
-                    runs += part.run_dicts(keep - len(runs))
-                n += part.n
-    except BaseException:
-        # a chunk that fails mid-stream must not leave a truncated table behind
-        if "csv" in formats and os.path.exists(csv_path):
-            os.remove(csv_path)
-        raise
 
-    freqs = {pair: c / n for pair, c in counts.items()}
-    if "json" in formats:
-        files.append(
-            _write_json(
-                os.path.join(outdir, "joint_frequencies.json"),
-                _joint_distribution_payload(circ, freqs, "montecarlo", n=n, counts=counts),
-            )
-        )
-        files.append(_write_json(os.path.join(outdir, "path_records.json"), runs))
-    if "csv" in formats:
-        files.append(csv_path)
-    if "svg" in formats:
-        svg = svgplot.render_eraser_records(runs[:20])
-        files.append(_write_text(os.path.join(outdir, "records.svg"), svg))
-    return files, True
+    def counted(part):
+        nonlocal n
+        while part is not None:
+            counts.update(part.outcome_counts())
+            yield n, part
+            n += part.n
+            part = next(parts, None)
+
+    chunks = counted(first)
+    # the fold alone holds the first chunk now, and drops it for the next one
+    del first
+    rows = itertools.chain.from_iterable(_outcome_rows(part, start) for start, part in chunks)
+    yield "outcomes.csv", lambda: itertools.chain(
+        ["run_id,label_L,label_R,x_L,x_R,outcome_L,outcome_R\n"], rows
+    )
+    for _ in chunks:
+        pass
+    yield "joint_frequencies.json", lambda: _joint_distribution_payload(
+        circ, {pair: c / n for pair, c in counts.items()}, "montecarlo", n=n, counts=counts
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -473,19 +487,60 @@ def _grid_setup(cfg: dict):
             weights=(0.5, 0.5),
         )
         potential = pilotwave.free()
-    elif scenario == "harmonic":
+    else:  # harmonic
         width = math.sqrt(1.0 / (2.0 * cfg["omega"]))
         profile = pilotwave.GaussianProfile(center=(cfg["x0"],), width=(width,), momentum=(0.0,))
         potential = pilotwave.harmonic(cfg["omega"])
-    else:
-        raise ValueError(f"not a grid scenario: {scenario}")
     params = pilotwave.PhysicsParams(masses=(1.0,), potential=potential)
     psi0 = pilotwave.init_wavefunction(grid, profile)
     return psi0, params
 
 
-def _run_grid_scenario(cfg: dict, outdir: str) -> tuple[list[str], bool]:
-    files = []
+def _trajectory_rows(run: pilotwave.TrajectoryRun):
+    """trajectories.csv in long format, trajectory_id,time,q1[,q2], one row
+    per (trajectory, time) and one chunk per trajectory.  Each row is a
+    per-time ",<time>," piece between the id and the coordinates."""
+    ndim = run.grid.ndim
+    times = [f",{t!r}," for t in run.times.tolist()]
+    row = ("{}" + ",".join(["{!r}"] * ndim)).format
+    yield "trajectory_id,time," + ",".join(f"q{d + 1}" for d in range(ndim)) + "\n"
+    for tid in range(run.n_trajectories):
+        tid_s = str(tid)
+        rows = map(row, times, *run.positions[:, tid].T.tolist())
+        yield tid_s + ("\n" + tid_s).join(rows) + "\n"
+
+
+def _wavefunction_csvs(run: pilotwave.TrajectoryRun) -> list:
+    """One CSV artifact per saved snapshot, wavefunctions/wavefunction_<step>.csv
+    with the step zero-padded: q1[,q2],re,im per grid node."""
+    header = ",".join(f"q{d + 1}" for d in range(run.grid.ndim)) + ",re,im\n"
+
+    @functools.cache
+    def grid_columns():
+        # the grid columns are the same text in every snapshot
+        coords = np.stack([m.reshape(-1) for m in run.grid.meshes()], axis=1)
+        return [",".join(map(repr, row)) for row in coords.tolist()]
+
+    def rows(wf):
+        flat = wf.values.reshape(-1)
+        cells = zip(grid_columns(), map(repr, flat.real.tolist()), map(repr, flat.imag.tolist()))
+        return [header, "".join(f"{q},{re},{im}\n" for q, re, im in cells)]
+
+    return [
+        (f"wavefunctions/wavefunction_{int(step):06d}.csv", functools.partial(rows, wf))
+        for step, wf in zip(run.saved_steps, run.wavefunctions)
+    ]
+
+
+def _trajectory_svg(run: pilotwave.TrajectoryRun) -> str:
+    groups = []
+    for k in range(min(run.n_trajectories, 200)):
+        pts = [(float(t), float(run.positions[s, k, 0])) for s, t in enumerate(run.times)]
+        groups.append((f"{k:05d}", pts))
+    return svgplot.render_trajectories(groups)
+
+
+def _run_grid_scenario(cfg: dict):
     psi0, params = _grid_setup(cfg)
     rng = stream(cfg["seed"], IDX_SCENARIO)
     positions = pilotwave.sample_equilibrium(psi0, cfg["trials"], rng)
@@ -511,36 +566,19 @@ def _run_grid_scenario(cfg: dict, outdir: str) -> tuple[list[str], bool]:
         "norm_drift": abs(float(final_norm) - 1.0),
         "final_time": float(run.times[-1]),
     }
-    if "json" in cfg["formats"]:
-        files.append(_write_json(os.path.join(outdir, "equivariance_report.json"), payload))
-    if "csv" in cfg["formats"]:
-        traj_path = os.path.join(outdir, "trajectories.csv")
-        pilotwave.export_trajectories_csv(traj_path, run)
-        files.append(traj_path)
-        wave_dir = os.path.join(outdir, "wavefunctions")
-        os.makedirs(wave_dir, exist_ok=True)
-        files.extend(pilotwave.export_wavefunction_csv(wave_dir, run))
-    if "svg" in cfg["formats"]:
-        keep = min(run.n_trajectories, 200)
-        groups = []
-        for k in range(keep):
-            pts = [
-                (float(t), float(run.positions[s, k, 0]))
-                for s, t in enumerate(run.times)
-            ]
-            groups.append((f"{k:05d}", pts))
-        files.append(
-            _write_text(os.path.join(outdir, "trajectories.svg"), svgplot.render_trajectories(groups))
-        )
-    return files, True
+    return [
+        ("equivariance_report.json", lambda: payload),
+        ("trajectories.csv", lambda: _trajectory_rows(run)),
+        *_wavefunction_csvs(run),
+        ("trajectories.svg", lambda: _trajectory_svg(run)),
+    ], True
 
 
 # ---------------------------------------------------------------------------
 # repeatability and CHSH scenarios
 
 
-def _run_repeatability(cfg: dict, outdir: str) -> tuple[list[str], bool]:
-    files = []
+def _run_repeatability(cfg: dict):
     mode = inference.ANALYTIC if cfg["mode"] == "analytic" else inference.MONTE_CARLO
     with_collapse = inference.repeatability_test(
         cfg["trials"], collapse=True, mode=mode, seed=cfg["seed"], stream_index=IDX_REPEAT
@@ -548,36 +586,19 @@ def _run_repeatability(cfg: dict, outdir: str) -> tuple[list[str], bool]:
     without_collapse = inference.repeatability_test(
         cfg["trials"], collapse=False, mode=mode, seed=cfg["seed"], stream_index=IDX_REPEAT + 1
     )
-    if "json" in cfg["formats"]:
-        files.append(
-            _write_json(
-                os.path.join(outdir, "repeatability_with_collapse.json"),
-                with_collapse.to_dict(),
-            )
-        )
-        files.append(
-            _write_json(
-                os.path.join(outdir, "repeatability_without_collapse.json"),
-                without_collapse.to_dict(),
-            )
-        )
-    if "csv" in cfg["formats"]:
-        rows = [
-            (r.test, r.statistic, r.verdict, r.n, r.details["collapse"])
-            for r in (with_collapse, without_collapse)
-        ]
-        files.append(
-            _write_csv(
-                os.path.join(outdir, "repeatability.csv"),
-                ["test", "statistic", "verdict", "n", "collapse"],
-                "%s,%r,%s,%s,%s\n",
-                rows,
-            )
-        )
-    return files, True
+    rows = [
+        (r.test, r.statistic, r.verdict, r.n, r.details["collapse"])
+        for r in (with_collapse, without_collapse)
+    ]
+    return [
+        ("repeatability_with_collapse.json", with_collapse.to_dict),
+        ("repeatability_without_collapse.json", without_collapse.to_dict),
+        ("repeatability.csv",
+         lambda: _csv("test,statistic,verdict,n,collapse", "%s,%r,%s,%s,%s\n", rows)),
+    ], True
 
 
-def _chsh_payload(cfg: dict) -> dict:
+def _run_bell(cfg: dict):
     step = (np.pi / 2) / cfg["grid_step_count"]
     result = inference.chsh_optimize(step=step)
     models = inference.local_deterministic_models()
@@ -602,29 +623,18 @@ def _chsh_payload(cfg: dict) -> dict:
             "standard_error": error,
             "n_per_setting": cfg["trials"],
         }
-    return payload
-
-
-def _run_bell(cfg: dict, outdir: str) -> tuple[list[str], bool]:
-    files = []
-    payload = _chsh_payload(cfg)
-    if "json" in cfg["formats"]:
-        files.append(_write_json(os.path.join(outdir, "chsh_result.json"), payload))
-    if "csv" in cfg["formats"]:
-        rows = [(key, payload[key]) for key in ("s_max", "grid_value", "local_model_max")]
-        files.append(
-            _write_csv(
-                os.path.join(outdir, "chsh_summary.csv"), ["quantity", "value"], "%s,%r\n", rows
-            )
-        )
-    return files, True
+    rows = [(key, payload[key]) for key in ("s_max", "grid_value", "local_model_max")]
+    return [
+        ("chsh_result.json", lambda: payload),
+        ("chsh_summary.csv", lambda: _csv("quantity,value", "%s,%r\n", rows)),
+    ], True
 
 
 # ---------------------------------------------------------------------------
 # claims suite
 
 
-def _run_claims(cfg: dict, outdir: str) -> tuple[list[str], bool]:
+def _run_claims(cfg: dict):
     evidence = inference.claim_evidence(cfg["seed"], cfg["trials"], cfg["workers"])
     claims = []
     for name, expected, test in inference.CLAIMS:
@@ -637,45 +647,28 @@ def _run_claims(cfg: dict, outdir: str) -> tuple[list[str], bool]:
                 "matches": report.verdict == expected,
             }
         )
+        if report.verdict != expected:
+            print(
+                f"claims mismatch: {name} expected {expected} got {report.verdict}",
+                file=sys.stderr,
+            )
 
     all_match = all(c["matches"] for c in claims)
     payload = {"seed": cfg["seed"], "claims": claims, "all_match": all_match}
-    files = []
-    if "json" in cfg["formats"]:
-        files.append(_write_json(os.path.join(outdir, "claims_suite.json"), payload))
-    if "csv" in cfg["formats"]:
-        rows = [
-            (
-                c["claim"],
-                c["report"]["statistic"],
-                c["report"]["verdict"],
-                c["expected_verdict"],
-                c["matches"],
-            )
-            for c in claims
-        ]
-        files.append(
-            _write_csv(
-                os.path.join(outdir, "claims_summary.csv"),
-                ["claim", "statistic", "verdict", "expected", "matches"],
-                "%s,%r,%s,%s,%s\n",
-                rows,
-            )
-        )
-    if not all_match:
-        for c in claims:
-            if not c["matches"]:
-                print(
-                    f"claims mismatch: {c['claim']} expected {c['expected_verdict']} "
-                    f"got {c['report']['verdict']}",
-                    file=sys.stderr,
-                )
-    return files, all_match
+    rows = [
+        (c["claim"], c["report"]["statistic"], c["report"]["verdict"], c["expected_verdict"], c["matches"])
+        for c in claims
+    ]
+    return [
+        ("claims_suite.json", lambda: payload),
+        ("claims_summary.csv",
+         lambda: _csv("claim,statistic,verdict,expected,matches", "%s,%r,%s,%s,%s\n", rows)),
+    ], all_match
 
 
 # ---------------------------------------------------------------------------
-# scenario registry: scenario -> (runner, defaults); a runner returns (files
-# written, whether every verdict it checks came out as expected)
+# scenario registry: scenario -> (runner, defaults); what a runner returns is
+# described where emission begins, above `_write`
 
 
 _SCENARIOS = {
@@ -753,17 +746,12 @@ def _cmd_run(args) -> int:
         print(f"qfoundations: cannot create output directory {outdir}: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    runner, _ = _SCENARIOS[cfg["scenario"]]
     try:
-        files, ok = runner(cfg, outdir)
-    except SystemExit:
-        raise
+        written, ok = _emit(cfg, _SCENARIOS[cfg["scenario"]][0])
     except Exception as err:  # noqa: BLE001 - boundary: report and use exit code 2
         print(f"qfoundations: runtime failure: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_RUNTIME
-
-    _write_manifest(outdir, cfg, files)
-    print(f"wrote {len(files) + 1} files to {outdir}")
+    print(f"wrote {written} files to {outdir}")
     return EXIT_OK if ok else EXIT_CLAIMS
 
 
@@ -780,10 +768,7 @@ def _cmd_plot(args) -> int:
         else:
             print("qfoundations: plot input must be a .csv or .json file", file=sys.stderr)
             return EXIT_USAGE
-    except OSError as err:
-        print(f"qfoundations: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         print(f"qfoundations: {err}", file=sys.stderr)
         return EXIT_RUNTIME
     print(f"wrote {out}")
@@ -791,10 +776,7 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_schema(args) -> int:
-    if args.name:
-        payload = schemas.SCHEMAS[args.name]
-    else:
-        payload = schemas.SCHEMAS
+    payload = schemas.SCHEMAS[args.name] if args.name else schemas.SCHEMAS
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -809,8 +791,7 @@ def main(argv=None) -> int:
             return _cmd_plot(args)
         return _cmd_schema(args)
     except SystemExit as err:
-        code = err.code if isinstance(err.code, int) else EXIT_USAGE
-        return code
+        return err.code if isinstance(err.code, int) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ entries in output order; each test reads the one `ClaimEvidence` that
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -124,9 +123,6 @@ class TestReport:
             "mode": self.mode,
             "details": _jsonable(self.details),
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
 def _jsonable(value):

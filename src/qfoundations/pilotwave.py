@@ -37,7 +37,6 @@ check `check_noncrossing` make that testable.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -67,8 +66,6 @@ __all__ = [
     "check_equivariance",
     "check_noncrossing",
     "conditional_wavefunction",
-    "export_trajectories_csv",
-    "export_wavefunction_csv",
 ]
 
 GRID_NORM_TOL = 1e-10
@@ -834,42 +831,3 @@ def conditional_wavefunction(psi: GridWavefunction, axis: int, value: float) -> 
     if nrm <= 1e-12:
         raise ValueError("conditioning on a node: slice norm is numerically zero")
     return GridWavefunction(GridSpec((other,)), sl / nrm, time=psi.time)
-
-
-def export_trajectories_csv(path, run: TrajectoryRun) -> None:
-    """Long-format CSV: trajectory_id,time,q1[,q2]; one row per (trajectory, time).
-
-    Each row is a per-time ",<time>," piece between the id and the
-    coordinates, and each trajectory's rows are joined and written at once,
-    so only one trajectory's text is held in memory.
-    """
-    ndim = run.grid.ndim
-    cols = ",".join(f"q{d + 1}" for d in range(ndim))
-    times = [f",{t!r}," for t in run.times.tolist()]
-    row = ("{}" + ",".join(["{!r}"] * ndim)).format
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"trajectory_id,time,{cols}\n")
-        for tid in range(run.n_trajectories):
-            tid_s = str(tid)
-            rows = map(row, times, *run.positions[:, tid].T.tolist())
-            fh.write(tid_s + ("\n" + tid_s).join(rows) + "\n")
-
-
-def export_wavefunction_csv(directory, run: TrajectoryRun) -> list:
-    """One CSV per saved snapshot, named wavefunction_<step>.csv, zero-padded."""
-    if not run.wavefunctions:
-        raise ValueError("run kept no wavefunctions")
-    paths = []
-    meshes = run.grid.meshes()
-    coords = np.stack([m.reshape(-1) for m in meshes], axis=1)
-    header = ",".join(f"q{d + 1}" for d in range(run.grid.ndim)) + ",re,im"
-    # the grid columns are the same text in every snapshot
-    qs = [",".join(map(repr, row)) for row in coords.tolist()]
-    for step, wf in zip(run.saved_steps, run.wavefunctions):
-        flat = wf.values.reshape(-1)
-        rows = zip(qs, map(repr, flat.real.tolist()), map(repr, flat.imag.tolist()))
-        p = os.path.join(directory, f"wavefunction_{int(step):06d}.csv")
-        with open(p, "w", newline="\n") as fh:
-            fh.write(header + "\n" + "".join(f"{q},{re},{im}\n" for q, re, im in rows))
-        paths.append(p)
-    return paths

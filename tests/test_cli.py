@@ -6,13 +6,16 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qfoundations import circuit, pilotwave, schemas
-from qfoundations.cli import _CSV_CHUNK_ROWS, main
+from qfoundations import circuit, cli, pilotwave, schemas, svgplot
+from qfoundations.cli import _CSV_CHUNK_ROWS, _NYQUIST_SPREADS, main
 from qfoundations.streams import IDX_ERASER_A, stream
 
 
@@ -189,6 +192,82 @@ def test_eraser_montecarlo_failing_chunk_exits_two_without_manifest(
     assert not (out / "manifest.json").exists()
     # the first chunk's rows were written before the failure; none may remain
     assert not (out / "outcomes.csv").exists()
+
+
+def test_failed_run_removes_the_stale_manifest_and_every_file_it_started(
+    tmp_path, capsys, monkeypatch
+):
+    out = tmp_path / "shared"
+    assert main(["run", "eraser", "--format", "json,csv,svg", "--out", str(out)]) == 0
+    earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+    draw = circuit.sample_bohmian_runs
+
+    def second_chunk_fails(*args, stream_index, **kwargs):
+        if stream_index == IDX_ERASER_A + 1:
+            raise RuntimeError("second chunk failed")
+        return draw(*args, stream_index=stream_index, **kwargs)
+
+    monkeypatch.setattr(circuit, "sample_bohmian_runs", second_chunk_fails)
+    code = main(["run", "eraser", "--mode", "montecarlo", "--trials", "30000",
+                 "--format", "json,csv,svg", "--out", str(out)])
+    assert code == 2
+    assert "second chunk failed" in capsys.readouterr().err
+    # the earlier manifest listed records.svg, which the failed run overwrote
+    # before it removed it with path_records.json and outcomes.csv
+    left = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(left) == ["joint_distribution.csv", "joint_distribution.json",
+                            "transport_distribution.json"]
+    assert all(left[name] == earlier[name] for name in left)
+
+
+def test_payloads_of_filtered_out_formats_are_never_built(tmp_path, capsys, monkeypatch):
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("built a payload that the format filter drops")
+
+    for name in ("_outcome_rows", "_trajectory_rows", "_trajectory_svg"):
+        monkeypatch.setattr(cli, name, unbuilt)
+    monkeypatch.setattr(svgplot, "render_eraser_records", unbuilt)
+    mc, grid = tmp_path / "mc", tmp_path / "grid"
+    assert main(["run", "eraser", "--mode", "montecarlo", "--trials", "25000",
+                 "--format", "json", "--out", str(mc)]) == 0
+    assert main(["run", "free_packet", "--trials", "20", "--steps", "20",
+                 "--format", "json", "--out", str(grid)]) == 0
+    capsys.readouterr()
+    assert sorted(os.listdir(mc)) == ["joint_frequencies.json", "manifest.json", "path_records.json"]
+    assert sorted(os.listdir(grid)) == ["equivariance_report.json", "manifest.json"]
+    assert json.loads((mc / "joint_frequencies.json").read_text())["n"] == 25000
+
+
+def _tree(out):
+    found = {}
+    for root, _, names in os.walk(out):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                found[os.path.relpath(path, out)] = fh.read()
+    return found
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 40000), workers=st.sampled_from([2, 3]))
+def test_eraser_montecarlo_bytes_do_not_depend_on_workers_at_any_n(n, workers):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        trees = []
+        for w in (1, workers):
+            args = ["run", "eraser", "--mode", "montecarlo", "--trials", str(n), "--seed", "11",
+                    "--format", "json,csv,svg", "--workers", str(w), "--out", out]
+            assert main(args) == 0
+            trees.append(_tree(out))
+    one, many = trees
+    # the manifest records the config, so its worker count is the one byte
+    # that may differ
+    recorded = f'"workers": {workers}\n'.encode()
+    assert recorded in many["manifest.json"]
+    many["manifest.json"] = many["manifest.json"].replace(recorded, b'"workers": 1\n')
+    assert sorted(one) == sorted(many)
+    for name in one:
+        assert one[name] == many[name], name
 
 
 def test_eraser_montecarlo_memory_does_not_grow_with_runs(tmp_path, capsys):
@@ -370,14 +449,35 @@ def test_free_packet_scenario_small(tmp_path, capsys):
         (["bell_chsh", "--mode", "montecarlo", "--trials", "1"],
          "config error at $.trials: 1 is too few"),
         (["free_packet", "--mode", "analytic"], "scenario free_packet has no analytic mode"),
+        (["free_packet", "--sigma", "0.03"],
+         "config error at $.sigma: 0.03 under-resolves the packet on this grid: "
+         "the rule is 5/(2*width) <= pi/dq"),
+        (["double_slit", "--sigma", "0.01"], "config error at $.sigma: 0.01 under-resolves"),
+        (["harmonic", "--omega", "5000"],
+         "config error at $.omega: 5000.0 under-resolves the packet on this grid: "
+         "the rule is 5/(2*width) <= pi/dq (the Nyquist wavenumber), "
+         "with width = sqrt(1/(2*omega)) = 0.01"),
     ],
-    ids=["analytic_theta", "montecarlo_chsh_trials", "analytic_grid"],
+    ids=["analytic_theta", "montecarlo_chsh_trials", "analytic_grid", "free_packet_sigma",
+         "double_slit_sigma", "harmonic_omega"],
 )
 def test_refused_run_writes_no_output_directory(tmp_path, capsys, argv, message):
     out = tmp_path / "refused"
     assert main(["run", *argv, "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scale, code", [(1 - 1e-9, 1), (1 + 1e-9, 0)])
+def test_under_resolved_packet_is_refused_at_the_nyquist_rule(tmp_path, capsys, scale, code):
+    # free_packet's default grid: 512 points on [-24, 24]
+    dq = 48.0 / 512
+    sigma = scale * _NYQUIST_SPREADS * dq / (2 * math.pi)
+    out = tmp_path / "packet"
+    assert main(["run", "free_packet", "--sigma", repr(sigma), "--trials", "10",
+                 "--steps", "5", "--out", str(out)]) == code
+    assert ("under-resolves" in capsys.readouterr().err) == (code == 1)
+    assert out.exists() == (code == 0)
 
 
 def test_grid_scenario_rejects_analytic_mode(tmp_path, capsys):

@@ -54,7 +54,7 @@ def test_report_serialization_handles_exact_details():
             "nested": [np.float64(0.25), np.int64(3)],
         },
     )
-    data = json.loads(rep.to_json())
+    data = json.loads(json.dumps(rep.to_dict(), indent=2, sort_keys=True))
     assert data["details"]["exact"] == "1/2"
     assert data["details"]["root"] == "2*sqrt(2)"
     assert data["details"]["nested"] == [0.25, 3]
@@ -531,6 +531,11 @@ def test_branch_collapse_equivalence_threshold_override():
         n_pairs=5, n_samples=2000, seed=3, z_threshold=6.0)
     assert rep.threshold == 6.0
     assert rep.verdict == inference.SATISFIED
+    # exact branch weights do not excuse frequencies beyond the threshold
+    below = inference.branch_collapse_equivalence(
+        n_pairs=5, n_samples=2000, seed=3, z_threshold=rep.statistic / 2)
+    assert below.details["max_weight_deviation"] == 0.0
+    assert below.verdict == inference.VIOLATED
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +605,26 @@ def test_setting_dependence_is_violated_only_when_the_lower_bound_clears_zero(mo
     assert report.verdict == verdict
 
 
+@pytest.mark.parametrize("seed, changed, verdict", [(0, 0, inference.SATISFIED), (1, 1, inference.VIOLATED)])
+def test_setting_dependence_of_one_run(seed, changed, verdict):
+    # one changed run in one clears zero (Wilson lower bound 0.13); only
+    # no change at all is satisfied
+    report = inference.trajectory_setting_dependence(1, seed=seed)
+    assert report.statistic == changed
+    assert report.verdict == verdict
+
+
+@pytest.mark.parametrize("n, verdict", [(5300, inference.INCONCLUSIVE), (5320, inference.SATISFIED)])
+def test_measurement_independence_blesses_only_an_allowance_inside_the_margin(n, verdict):
+    # identical record laws over K = 2 records: the allowance Z99 * sqrt(2 / n)
+    # crosses the 0.05 margin between n = 5300 and n = 5320
+    counts = Counter({("a",): n // 2, ("b",): n // 2})
+    report = inference.measurement_independence_test({"s1": counts, "s2": counts})
+    assert report.statistic == 0.0
+    assert (report.details["allowance"] < inference.EQUIVALENCE_MARGIN) == (n == 5320)
+    assert report.verdict == verdict
+
+
 def _agreement_evidence(k, n):
     """Stand-in evidence: two equally likely pairs, one seen k times in n."""
     pairs = [("L1", "R1"), ("L2", "R2")]
@@ -616,3 +641,13 @@ def test_correlation_agreement_at_three_standard_errors(k, verdict):
     report = inference._correlation_agreement(_agreement_evidence(k, 10000))
     assert report.threshold == 3.0
     assert report.verdict == verdict
+
+
+def test_correlation_agreement_refuses_a_pair_the_born_table_forbids():
+    # one run in 10 000 at a probability-zero pair is an infinite z-score
+    ev = _agreement_evidence(4999, 9999)
+    ev.counts[inference._II][("L1", "R2")] = 1
+    ev.tables[inference._II][("L1", "R2")] = 0.0
+    report = inference._correlation_agreement(ev)
+    assert report.statistic == math.inf
+    assert report.verdict == inference.VIOLATED

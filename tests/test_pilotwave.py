@@ -487,6 +487,18 @@ def test_equivariance_rejects_shifted_ensemble():
     assert report.verdict == "fail"
 
 
+def test_equivariance_passes_only_below_its_threshold():
+    grid = pilotwave.GridSpec.make((-12.0, 12.0, 512))
+    psi = pilotwave.init_wavefunction(
+        grid, pilotwave.GaussianProfile(center=(0.0,), width=(1.0,), momentum=(0.0,))
+    )
+    pos = pilotwave.sample_equilibrium(psi, 2000, stream(9, 0))
+    stat = pilotwave.check_equivariance(pos, psi=psi).statistic
+    assert stat > 0
+    assert pilotwave.check_equivariance(pos, psi=psi, threshold=1.01 * stat).verdict == "pass"
+    assert pilotwave.check_equivariance(pos, psi=psi, threshold=0.99 * stat).verdict == "fail"
+
+
 def test_equivariance_holds_at_every_saved_time():
     grid = pilotwave.GridSpec.make((-24.0, 24.0, 512))
     psi = pilotwave.init_wavefunction(
