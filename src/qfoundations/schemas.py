@@ -342,6 +342,20 @@ def _equal(a, b) -> bool:
     return a == b and isinstance(a, bool) == isinstance(b, bool)
 
 
+def _unique(doc: list) -> bool:
+    """Whether no two items of `doc` are JSON-equal, found as jsonschema finds
+    it: items that Python can sort (no bool among them) are compared only to
+    their neighbour in sorted order, so [[1], [True], [1]] passes, since
+    Python sorts [True] between the two [1]s."""
+    try:
+        if any(isinstance(item, bool) for item in doc):
+            raise TypeError
+        ordered = sorted(doc)
+    except TypeError:
+        return not any(_equal(a, b) for i, a in enumerate(doc) for b in doc[i + 1:])
+    return not any(map(_equal, ordered, ordered[1:]))
+
+
 def errors(schema: dict, doc, path: str = "$"):
     """Yield (JSON path, message) for each way `doc` breaks `schema`, worded
     and, within one path, ordered as by jsonschema's Draft 2020-12 validator.
@@ -366,9 +380,8 @@ def errors(schema: dict, doc, path: str = "$"):
             yield path, f"{doc!r} {'should be non-empty' if want == 1 else 'is too short'}"
         elif key == "maxItems" and isinstance(doc, list) and len(doc) > want:
             yield path, f"{doc!r} {'is expected to be empty' if want == 0 else 'is too long'}"
-        elif key == "uniqueItems" and want and isinstance(doc, list):
-            if any(_equal(a, b) for i, a in enumerate(doc) for b in doc[i + 1:]):
-                yield path, f"{doc!r} has non-unique elements"
+        elif key == "uniqueItems" and want and isinstance(doc, list) and not _unique(doc):
+            yield path, f"{doc!r} has non-unique elements"
         elif key == "properties" and isinstance(doc, dict):
             for name, sub in want.items():
                 if name in doc:

@@ -15,7 +15,7 @@ import re
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfoundations import cli, schemas
@@ -131,6 +131,8 @@ def test_config_errors_match_jsonschema(cfg):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from(_NEAR_EQUAL), max_size=4))
+@example([[1], [True], [1]])
+@example([[1], [1.0], [True]])
 def test_unique_items_use_json_equality(formats):
     schema = schemas.SCENARIO_CONFIG["properties"]["formats"]
     assert _ours(schema, formats) == _oracle(schema, formats)
