@@ -2,7 +2,9 @@
 
 Criterion 11 only proves that one build agrees with itself; these pins make
 a refactor that changes any emitted byte fail loudly.  `manifest.json` is
-left out because it records the output directory.  Every pin runs with
+left out because it records the output directory.  No scenario runs a 2D
+grid, so `grid_2d` pins the positions and snapshots of a small 2D
+`integrate_trajectories` run directly.  Every pin runs with
 sympy and scipy made unimportable: both are test-only oracles, never a
 runtime need.
 
@@ -23,6 +25,7 @@ import sys
 import numpy as np
 import pytest
 
+from qfoundations import pilotwave
 from qfoundations.cli import main
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_digests.json")
@@ -77,6 +80,25 @@ def _digests(pin, outdir):
     return dict(sorted(found.items()))
 
 
+def _grid_2d_digests():
+    """Digests of a 2D run on the conditional_wavefunction demo's grid: a
+    moving packet in an anisotropic harmonic well, with positions drawn from
+    |psi|^2, on grid nodes and beyond the absorbing margin."""
+    grid = pilotwave.GridSpec.make((-8.0, 8.0, 128), (-8.0, 8.0, 128))
+    profile = pilotwave.GaussianProfile(center=(1.0, -2.0), width=(0.8, 1.1), momentum=(1.5, -1.0))
+    psi = pilotwave.init_wavefunction(grid, profile)
+    params = pilotwave.PhysicsParams(masses=(1.0, 2.0), potential=pilotwave.harmonic(0.5, (0.0, 0.5)))
+    drawn = pilotwave.sample_equilibrium(psi, 400, np.random.default_rng(2))
+    placed = [(1.0, -2.0), (0.125, -0.25), (-7.875, 7.75), (7.6, -2.0), (-8.0, 0.0), (1.0, 7.999)]
+    run = pilotwave.integrate_trajectories(psi, params, np.vstack([drawn, placed]), 0.002, 40, save_every=10)
+    wavefunctions = b"".join(wf.values.tobytes() for wf in run.wavefunctions)
+    return {
+        "positions": hashlib.sha256(run.positions.tobytes()).hexdigest(),
+        "absorbed_at": hashlib.sha256(run.absorbed_at.astype(np.int64).tobytes()).hexdigest(),
+        "wavefunctions": hashlib.sha256(wavefunctions).hexdigest(),
+    }
+
+
 def _golden():
     with open(GOLDEN_PATH) as fh:
         return json.load(fh)
@@ -118,9 +140,20 @@ def test_scenario_bytes_match_golden(pin, tmp_path, capsys, monkeypatch):
     _check(pin, tmp_path, capsys, monkeypatch)
 
 
+def test_grid_2d_bytes_match_golden(monkeypatch):
+    _block(monkeypatch, "sympy")
+    _block(monkeypatch, "scipy")
+    golden = _golden()
+    pinned_numpy = golden["generated_with"]["numpy"]
+    if np.__version__ != pinned_numpy:
+        pytest.skip(f"digests pinned with numpy {pinned_numpy}, running {np.__version__}")
+    assert _grid_2d_digests() == golden["grid_2d"]
+
+
 def _write(outroot):
     golden = {
         "generated_with": {"python": sys.version.split()[0], "numpy": np.__version__},
+        "grid_2d": _grid_2d_digests(),
         "scenarios": {
             name: {"args": args, "digests": _digests(name, os.path.join(outroot, name))}
             for name, (_, args) in PINS.items()
