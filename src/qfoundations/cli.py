@@ -61,12 +61,17 @@ _HEADS = ["0." + "0" * z for z in range(4)] + [""]
 _ROW_HEADS_L = np.array([f",{l},{r},{h}" for l in (1, 2) for r in (1, 2) for h in _HEADS], dtype=object)
 _ROW_HEADS_R = np.array(["," + h for h in _HEADS], dtype=object)
 _ROW_SUFFIXES = np.array([f",L{l},R{r}\n" for l in range(1, 5) for r in range(1, 5)], dtype=object)
-# x is at least 10^-j exactly when x >= 10.0**-j (each of these doubles lies
-# above its power of ten); with dec of them at or below x, x * 10^k has 17
-# digits before the point at k = 21 - dec, where 10^k and 5^k are exact
-_DECADES = np.array([1e-4, 1e-3, 1e-2, 1e-1])
-_K = 21 - np.arange(5)
+# |x| is at least 10^j exactly when |x| >= 1e{j} (each of these doubles lies
+# at or above its power of ten); with dec of them at or below |x|, |x| * 10^k
+# has 17 digits before the point at k = 21 - dec, where 10^k and 5^k are
+# exact.  The kernel takes 1e-4 <= |x| < 1e15, dec 1 to 19
+_DECADES = np.array([float(f"1e{j}") for j in range(-4, 16)])
+_K = 21 - np.arange(_DECADES.size + 1)
 _POW10, _POW5 = 10.0**_K, 5.0**_K
+# trajectories.csv coordinate pieces: 10^i as int64, and a fraction's head,
+# "." and z zeros, at index z, or nothing before a repr at the last index
+_INT_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_POINTS = np.array(["." + "0" * z for z in range(18)] + [""], dtype=object)
 
 _COMMON_DEFAULTS = {
     "seed": 7,
@@ -338,42 +343,71 @@ def _split(a):
 def _round_off(n, r, unit):
     """(n + r) / unit rounded to nearest, for int64 n and |r| <= 1/2, and
     the distance from n + r to unit times it."""
-    q, m = np.divmod(n, unit)
+    q = n // unit
+    m = n - q * unit
     up = m + r > unit / 2
     return q + up, np.abs(m + r - unit * up)
 
 
 def _shortest_digits(x):
-    """(digits, zeros, ok) with `repr(x)` == "0." + "0" * zeros + str(digits)
-    wherever ok, for float64 x in [0, 1): the shortest decimal that reads
-    back as x, and of those the nearest (Steele & White 1990, Gay 1990).
+    """(digits, zeros, ok) for float64 x: wherever ok, |x| is the decimal
+    digits * 10^-(zeros + len(str(digits))), the shortest that reads back as
+    x, and of those the nearest (Steele & White 1990, Gay 1990); so for x in
+    [0, 1) `repr(x)` == "0." + "0" * zeros + str(digits).  ok needs
+    1e-4 <= |x| < 1e15, where repr prints x without an exponent.
 
-    n17 + r == x * 10^k exactly (Dekker's product).  n17 always reads back,
+    n17 + r == |x| * 10^k exactly (Dekker's product).  n17 always reads back,
     and the 16- and 15-digit roundings do when nearer x than half an ulp.
-    None is exactly that far: x plus or minus half an ulp has 54 significant
-    bits, a binary fraction of at most 17 decimal digits in [1e-4, 1) has at
-    most 17.  A decimal of 15 digits or fewer that reads back is the 15-digit
-    rounding.  None rounds up to 10^-j, which would read back as a double
-    at or above 10^-j.  Not ok: x below 1e-4, a power of two (its interval
-    is uneven), a tie at 17 or 16 digits.
+    None is exactly that far: x plus or minus half an ulp is an odd N >= 2^53
+    times 2^-a, and a decimal m / 10^j of at most 17 digits equal to it needs
+    m = N 5^j 2^(j-a), so 5^j < 10^17 / 2^53 < 12 and |x| >= 2^52 > 1e15.  A
+    decimal of 15 digits or fewer that reads back is the 15-digit rounding.
+    None rounds up to the power of ten above |x|, which would read back as a
+    double at or above that power.  Not ok: |x| outside that range, a power
+    of two (its interval is uneven), a tie at 17 or 16 digits.
     """
-    dec = np.searchsorted(_DECADES, x, side="right")
+    ax = np.abs(x)
+    dec = np.searchsorted(_DECADES, ax, side="right")
+    in_range = (dec > 0) & (dec < _DECADES.size)
+    if not in_range.all():
+        # keep the arithmetic below finite and in int64; these are not ok
+        ax, dec = np.where(in_range, ax, 0.5), np.where(in_range, dec, 4)
     p = _POW10[dec]
-    hi = x * p
-    (xh, xl), (ph, pl) = _split(x), _split(p)
+    hi = ax * p
+    (xh, xl), (ph, pl) = _split(ax), _split(p)
     lo = ((xh * ph - hi) + xh * pl + xl * ph) + xl * pl
     floor = np.floor(lo)
     up = lo - floor > 0.5
     n17 = hi.astype(np.int64) + floor.astype(np.int64) + up
     r = lo - floor - up
-    mant, exp = np.frexp(x)
+    mant, exp = np.frexp(ax)
     half_ulp = np.ldexp(_POW5[dec], exp - 54 + _K[dec])  # times 10^k, exact
     (n16, d16), (n15, d15) = _round_off(n17, r, 10), _round_off(n17, r, 100)
     digits = np.where(d15 < half_ulp, n15, np.where(d16 < half_ulp, n16, n17))
-    ok = (dec > 0) & (mant != 0.5) & (r != 0.5) & (d16 != 5)
-    while (zero := ok & (digits % 10 == 0)).any():
-        digits = np.where(zero, digits // 10, digits)
+    ok = in_range & (mant != 0.5) & (r != 0.5) & (d16 != 5)
+    while (zero := ok & ((tenth := digits // 10) * 10 == digits)).any():
+        digits = np.where(zero, tenth, digits)
     return digits, 4 - dec, ok
+
+
+def _fixed_parts(x):
+    """`repr` of each float64 in x as four lists of pieces, sign + whole +
+    point + fraction: "-" or "", the integer part, "." and the fraction's
+    leading zeros, and its other digits.  Where `_shortest_digits` is not
+    ok, whole is `repr(x)` and the other pieces are empty."""
+    digits, zeros, ok = _shortest_digits(x)
+    # |x| == digits * 10^-places; the fraction has places digits
+    places = zeros + np.searchsorted(_INT_POW10, digits, side="right")
+    cut = _INT_POW10[np.clip(places, 0, 18)]
+    whole = digits // cut * _INT_POW10[np.clip(-places, 0, 18)]
+    fraction = digits % cut
+    width = places - np.searchsorted(_INT_POW10, fraction, side="right")
+    points = np.where(ok, np.where(fraction > 0, width, 0), _POINTS.size - 1)
+    signs = np.where(ok & np.signbit(x), "-", "").tolist()
+    whole, fraction = whole.tolist(), fraction.tolist()
+    for i in np.flatnonzero(~ok).tolist():
+        whole[i], fraction[i] = repr(float(x[i])), ""
+    return signs, whole, _POINTS[points].tolist(), fraction
 
 
 def _outcome_rows(sample: circuit.BohmianSample, first_id: int):
@@ -498,16 +532,27 @@ def _grid_setup(cfg: dict):
 
 def _trajectory_rows(run: pilotwave.TrajectoryRun):
     """trajectories.csv in long format, trajectory_id,time,q1[,q2], one row
-    per (trajectory, time) and one chunk per trajectory.  Each row is a
-    per-time ",<time>," piece between the id and the coordinates."""
-    ndim = run.grid.ndim
-    times = [f",{t!r}," for t in run.times.tolist()]
-    row = ("{}" + ",".join(["{!r}"] * ndim)).format
+    per (trajectory, time), as one string per chunk of whole trajectories of
+    about `_CSV_CHUNK_ROWS` rows, converted from numpy that many at a time.
+
+    Each coordinate is Python's shortest round-trip decimal, as `repr`
+    prints it: from `_fixed_parts`.  Each row is a per-time ",<time>," piece
+    between the id and the coordinates."""
+    steps, n, ndim = run.positions.shape
     yield "trajectory_id,time," + ",".join(f"q{d + 1}" for d in range(ndim)) + "\n"
-    for tid in range(run.n_trajectories):
-        tid_s = str(tid)
-        rows = map(row, times, *run.positions[:, tid].T.tolist())
-        yield tid_s + ("\n" + tid_s).join(rows) + "\n"
+    times = [f",{t!r}," for t in run.times.tolist()]
+    per_chunk = max(1, _CSV_CHUNK_ROWS // steps)
+    for start in range(0, n, per_chunk):
+        stop = min(n, start + per_chunk)
+        # (trajectory, time, axis), so rows come trajectory by trajectory
+        coords = run.positions[:, start:stop].transpose(1, 0, 2).reshape(-1, ndim)
+        ids = np.repeat(np.arange(start, stop), steps).tolist()
+        signs, whole, points, fraction = _fixed_parts(coords[:, 0])
+        for d in range(1, ndim):
+            # later coordinates ride on the first one's last piece
+            fraction = [f"{a},{s}{w}{p}{f}" for a, s, w, p, f in zip(fraction, *_fixed_parts(coords[:, d]))]
+        rows = zip(ids, times * (stop - start), signs, whole, points, fraction)
+        yield "".join([f"{i}{t}{s}{w}{p}{f}\n" for i, t, s, w, p, f in rows])
 
 
 def _wavefunction_csvs(run: pilotwave.TrajectoryRun) -> list:
@@ -559,7 +604,9 @@ def _run_grid_scenario(cfg: dict):
     payload = {
         "statistic": float(report.statistic),
         "threshold": float(report.threshold),
-        "verdict": report.verdict,
+        # 1D trajectories of an exact flow never cross, so a crossing shows
+        # the run did not resolve the flow: its ensemble supports no verdict
+        "verdict": "invalid" if swaps else report.verdict,
         "n": int(report.n),
         "n_absorbed": int(report.n_absorbed),
         "order_swaps": None if swaps is None else int(swaps),

@@ -350,6 +350,15 @@ def step_schrodinger(
     return GridWavefunction(grid, v, time=psi.time + dt * steps)
 
 
+def _corner_offsets(grid: GridSpec) -> tuple[int, ...]:
+    """Flat offsets of a cell's corners from its first node: (i), (i + 1) in
+    1D; (i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1) in 2D."""
+    if grid.ndim == 1:
+        return (0, 1)
+    ny = grid.axes[1].npoints
+    return (0, ny, 1, ny + 1)
+
+
 class _FlowBlock:
     """Rows of grid wave functions and their flow fields, computed together.
 
@@ -357,7 +366,8 @@ class _FlowBlock:
     Im(psi* dpsi/dq_k) / m_k per axis, each with the grid's shape; `eps` holds
     the density floor NODE_EPS_FACTOR * max |psi|^2 and `norms` the discrete
     L2 norm of each row.  A batched FFT, sum or maximum over rows gives every
-    row the bits of the same call on that row alone.
+    row the bits of the same call on that row alone.  Row r of `corners` is
+    the corner table of row r's fields that `_Sampler.velocity` reads.
     """
 
     def __init__(self, grid: GridSpec, params: PhysicsParams, rows: int):
@@ -366,6 +376,8 @@ class _FlowBlock:
         self.masses = params.masses
         self.values = np.empty(shape, dtype=np.complex128)
         self.fields = np.empty((rows, 1 + grid.ndim, *grid.shape))
+        # entries past the grid's last node are never read; zeros keep them defined
+        self.corners = np.zeros((rows, math.prod(grid.shape), len(_corner_offsets(grid)), 1 + grid.ndim))
         self.eps = np.empty(rows)
         self.norms = np.empty(rows)
         self._spectrum = np.empty(shape, dtype=np.complex128)
@@ -377,7 +389,7 @@ class _FlowBlock:
             self._ik.append(1j * k.reshape(kshape))
 
     def compute(self, lo: int, hi: int) -> None:
-        """Fill fields, eps and norms of rows lo..hi-1 from their values."""
+        """Fill fields, corners, eps and norms of rows lo..hi-1 from their values."""
         grid_axes = tuple(range(1, self.grid.ndim + 1))
         v = self.values[lo:hi]
         spectrum = self._spectrum[lo:hi]
@@ -399,6 +411,17 @@ class _FlowBlock:
             np.conjugate(v, out=spectrum)
             np.multiply(spectrum, grad, out=grad)
             np.divide(grad.imag, m, out=self.fields[lo:hi, 1 + axis_idx])
+        _lay_corners(self.grid, self.fields[lo:hi], self.corners[lo:hi])
+
+
+def _lay_corners(grid: GridSpec, fields: np.ndarray, out: np.ndarray) -> None:
+    """Write the corner tables of fields (rows, 1 + d, *grid.shape) into out
+    (rows, grid size, corners, 1 + d): entry [r, k, c] holds every field of
+    row r at corner c of the cell whose first node has flat index k."""
+    size = math.prod(grid.shape)
+    flat = fields.reshape(fields.shape[0], 1 + grid.ndim, size)
+    for c, offset in enumerate(_corner_offsets(grid)):
+        np.copyto(out[:, : size - offset, c], flat[:, :, offset:].transpose(0, 2, 1))
 
 
 class _Sampler:
@@ -406,40 +429,40 @@ class _Sampler:
 
     Density and velocity numerators are interpolated bilinearly (linearly in
     1D) from the corners of each position's grid cell, and the velocity is
-    numerator / max(density, eps).  A cell's corners sit at fixed offsets
-    from its first node in the flattened fields, so each corner is one
-    gather of every field through the same indices, read from the fields
-    shifted by that offset.  Positions are clipped into the grid first, so
-    the gathers never leave it and `mode="clip"` only spares numpy a copy.
+    numerator / max(density, eps).  The fields come as a corner table (see
+    `_lay_corners`): one row per cell holding every field at every corner,
+    so a single `take` along its first axis gathers all of a position's
+    corner values.  Each field is then summed over the corners in a fixed
+    order, corner by corner, into contiguous buffers.  Positions are clipped
+    into the grid first, so the gather never leaves the table and
+    `mode="clip"` only spares numpy a copy.
     """
 
     def __init__(self, grid: GridSpec, n: int):
         d = grid.ndim
-        size = math.prod(grid.shape)
+        corners = len(_corner_offsets(grid))
         self.grid = grid
         self._qmin = np.array([[a.qmin] for a in grid.axes])
         self._dq = np.array([[a.dq] for a in grid.axes])
         self._top = np.array([[a.npoints - 1 - 1e-12] for a in grid.axes])
-        if d == 1:
-            self._offsets = (0, 1)
-        else:
-            ny = grid.axes[1].npoints
-            self._offsets = (0, ny, 1, ny + 1)
-        self._starts = np.arange(1 + d).reshape(-1, 1) * size
         self._u = np.empty((d, n))
         self._floor = np.empty((d, n))
         self._cell = np.empty((d, n), dtype=np.intp)
-        self._idx = np.empty((1 + d, n), dtype=np.intp)
-        self._weights = np.empty((len(self._offsets), n))
-        self._gathered = np.empty((len(self._offsets), 1 + d, n))
+        self._weights = np.empty((corners, n))
+        self._gathered = np.empty((n, corners, 1 + d))
+        # (corner, field, particle) view of the gathered rows
+        self._by_corner = self._gathered.transpose(1, 2, 0)
+        self._acc = np.empty((1 + d, n))
+        self._term = np.empty((1 + d, n))
 
-    def velocity(self, fields: np.ndarray, eps: float, positions: np.ndarray, out: np.ndarray) -> None:
+    def velocity(self, corners: np.ndarray, eps: float, positions: np.ndarray, out: np.ndarray) -> None:
         """Write the velocity at positions (n, d) from one row of `_FlowBlock`
-        fields into out (n, d)."""
+        corners into out (n, d)."""
         u, fl, cell, w = self._u, self._floor, self._cell, self._weights
         np.subtract(positions.T, self._qmin, out=u)
         np.divide(u, self._dq, out=u)
-        np.clip(u, 0.0, self._top, out=u)
+        np.maximum(u, 0.0, out=u)
+        np.minimum(u, self._top, out=u)
         np.floor(u, out=fl)
         np.copyto(cell, fl, casting="unsafe")
         np.subtract(u, fl, out=u)
@@ -457,15 +480,13 @@ class _Sampler:
             np.multiply(wx, wy, out=w[3])
             np.multiply(w[0], w[1], out=w[0])
             np.multiply(wx, w[1], out=w[1])
-        np.add(k, self._starts, out=self._idx)
-        flat = fields.reshape(-1)
-        acc, *rest = self._gathered
-        flat.take(self._idx, out=acc, mode="clip")
-        np.multiply(w[0], acc, out=acc)
-        for c, (offset, g) in enumerate(zip(self._offsets[1:], rest), start=1):
-            flat[offset:].take(self._idx, out=g, mode="clip")
-            np.multiply(w[c], g, out=g)
-            np.add(acc, g, out=acc)
+        corners.take(k, axis=0, out=self._gathered, mode="clip")
+        acc, term = self._acc, self._term
+        g0, *rest = self._by_corner
+        np.multiply(w[0], g0, out=acc)
+        for wc, g in zip(w[1:], rest):
+            np.multiply(wc, g, out=term)
+            np.add(acc, term, out=acc)
         rho_p = acc[0]
         np.maximum(rho_p, eps, out=rho_p)
         np.divide(acc[1:], rho_p, out=out.T)
@@ -489,7 +510,7 @@ def velocity_field(
     flow.values[0] = psi.values
     flow.compute(0, 1)
     out = np.empty_like(q)
-    _Sampler(psi.grid, q.shape[0]).velocity(flow.fields[0], flow.eps[0], q, out)
+    _Sampler(psi.grid, q.shape[0]).velocity(flow.corners[0], flow.eps[0], q, out)
     return out
 
 
@@ -576,17 +597,23 @@ def integrate_trajectories(
     below = np.empty(q.shape, dtype=bool)
     above = np.empty(q.shape, dtype=bool)
 
-    def mark_absorbed(step: int) -> None:
-        # `alive` is absorbed_at < 0, as it was before this step moved q
+    def mark_absorbed(step: int) -> bool:
+        """Flag the alive rows that q puts outside [lo, hi] absorbed at `step`
+        and refresh `alive`; True if every row is still alive.  An absorbed
+        row stays outside, so with no row outside none is absorbed."""
         np.less(q, lo, out=below)
         np.greater(q, hi, out=above)
         np.logical_or(below, above, out=below)
+        if not below.any():
+            return True
         np.any(below, axis=1, out=gone)
         np.logical_and(alive, gone, out=gone)
         np.copyto(absorbed_at, step, where=gone)
+        np.less(absorbed_at, 0, out=alive)
+        return False
 
-    np.less(absorbed_at, 0, out=alive)
-    mark_absorbed(0)
+    alive.fill(True)
+    everyone = mark_absorbed(0)
 
     saved_steps = [0] + [s for s in range(1, steps + 1) if s % save_every == 0 or s == steps]
     saved = np.empty((len(saved_steps), *q.shape))
@@ -619,11 +646,10 @@ def integrate_trajectories(
 
         for r in range(0, rows - 1, 2):
             step = base + r // 2 + 1
-            f_t, f_m, f_n = flow.fields[r : r + 3]
+            f_t, f_m, f_n = flow.corners[r : r + 3]
             e_t, e_m, e_n = flow.eps[r : r + 3]
             # every row is stepped and only alive rows are written back, so
             # absorbed trajectories stay frozen without a gather and scatter
-            np.less(absorbed_at, 0, out=alive)
             sampler.velocity(f_t, e_t, q, k1)
             np.multiply(0.5 * dt, k1, out=x)
             np.add(q, x, out=x)
@@ -642,8 +668,8 @@ def integrate_trajectories(
             np.add(k1, k4, out=k1)
             np.multiply(dt / 6.0, k1, out=k1)
             np.add(q, k1, out=k1)
-            np.copyto(q, k1, where=keep_alive)
-            mark_absorbed(step)
+            np.copyto(q, k1, where=True if everyone else keep_alive)
+            everyone = mark_absorbed(step)
 
             if step == saved_steps[n_saved]:
                 saved[n_saved] = q
@@ -653,7 +679,7 @@ def integrate_trajectories(
 
         # the last row starts the next block
         flow.values[0] = flow.values[rows - 1]
-        flow.fields[0] = flow.fields[rows - 1]
+        flow.corners[0] = flow.corners[rows - 1]
         flow.eps[0] = flow.eps[rows - 1]
         fresh = 1
 

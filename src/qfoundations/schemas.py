@@ -180,10 +180,15 @@ EQUIVARIANCE_REPORT = {
     "properties": {
         "statistic": {"type": "number", "minimum": 0},
         "threshold": {"type": "number", "exclusiveMinimum": 0},
-        "verdict": {"enum": ["pass", "fail", "invalid"]},
+        "verdict": {
+            "title": "invalid if more than 1% of trajectories are absorbed or, in 1D, if "
+                     "order_swaps > 0; else pass if statistic < threshold, else fail",
+            "enum": ["pass", "fail", "invalid"],
+        },
         "n": {"type": "integer", "minimum": 1},
         "n_absorbed": {"type": "integer", "minimum": 0},
-        "order_swaps": {"type": ["integer", "null"], "minimum": 0},
+        "order_swaps": {"title": "1D: pairs of trajectories that swap order between saved "
+                                 "steps; null in 2D", "type": ["integer", "null"], "minimum": 0},
         "norm_drift": {"type": "number", "minimum": 0},
         "final_time": {"type": "number"},
     },

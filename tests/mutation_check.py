@@ -3,8 +3,8 @@
     PYTHONPATH=src python tests/mutation_check.py [name ...]
 
 Each mutant replaces one piece of text, which must occur exactly once, in
-one source file: a rule in `inference.py`, `pilotwave.check_equivariance`
-or `circuit._cell_table`.  For each mutant the script copies `src/`,
+one source file: a rule in `inference.py`, `pilotwave.check_equivariance`,
+`circuit._cell_table` or `cli._run_grid_scenario`.  For each mutant the script copies `src/`,
 `tests/`, `docs/` and `pyproject.toml` to a temporary directory, applies the
 mutant there, runs `python -m pytest -x -q tests` against the copy and
 prints `killed`, with the first failing test, or `survived`.  The unmutated
@@ -27,6 +27,7 @@ TIMEOUT_S = 900
 _INF = "src/qfoundations/inference.py"
 _PW = "src/qfoundations/pilotwave.py"
 _CIRC = "src/qfoundations/circuit.py"
+_CLI = "src/qfoundations/cli.py"
 
 # name -> (file, old text, new text)
 MUTANTS = {
@@ -126,6 +127,16 @@ MUTANTS = {
         _PW,
         '        verdict = "pass" if stat < threshold else "fail"',
         '        verdict = "pass" if stat < 2 * threshold else "fail"',
+    ),
+    "grid_crossing_ignored": (
+        _CLI,
+        '        "verdict": "invalid" if swaps else report.verdict,',
+        '        "verdict": report.verdict,',
+    ),
+    "grid_crossing_above_one": (
+        _CLI,
+        '        "verdict": "invalid" if swaps else report.verdict,',
+        '        "verdict": "invalid" if swaps and swaps > 1 else report.verdict,',
     ),
     "cell_table_right_edges": (
         _CIRC,

@@ -579,6 +579,19 @@ def test_free_packet_equivariance_holds_from_start_to_end(tmp_path, capsys):
     assert abs(end["statistic"] - start.statistic) < 1e-3
 
 
+def test_a_1d_crossing_makes_the_verdict_invalid(tmp_path, capsys):
+    # the packet spreads to the grid's edge by T = 2 and one pair of
+    # trajectories swaps order, while under 1% of them are absorbed
+    out = tmp_path / "crossing"
+    assert main(["run", "free_packet", "--sigma", "0.075", "--trials", "2000",
+                 "--format", "json", "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = _validate(out / "equivariance_report.json", "equivariance_report")
+    assert report["order_swaps"] == 1
+    assert 0 < report["n_absorbed"] <= 0.01 * 2000
+    assert report["verdict"] == "invalid"
+
+
 # ---------------------------------------------------------------------------
 # config handling
 

@@ -112,11 +112,23 @@ _GRIDS = {
 }
 
 
-def _positions(ndim):
-    # reaches past both grid ends, so the clipped edge cells are drawn too
-    return st.integers(1, 40).flatmap(
-        lambda n: hnp.arrays(np.float64, (n, ndim), elements=st.floats(-7.0, 7.0))
+def _coordinates(axis):
+    """Any point of the axis and beyond it, grid nodes exactly, the upper
+    edge of the last interior cell (the last node) and its neighbours, and
+    points past both grid ends, where the clipped edge cells are read."""
+    last = float(axis.nodes[-1])
+    return st.one_of(
+        st.floats(-7.0, 7.0),
+        st.integers(0, axis.npoints - 1).map(lambda i: float(axis.nodes[i])),
+        st.sampled_from([last, np.nextafter(last, -np.inf), np.nextafter(last, np.inf), axis.qmax]),
+        st.floats(axis.qmax, 2.0 * axis.qmax),
+        st.floats(2.0 * axis.qmin, axis.qmin),
     )
+
+
+def _positions(grid):
+    point = st.tuples(*(_coordinates(a) for a in grid.axes))
+    return st.lists(point, min_size=1, max_size=40).map(lambda rows: np.array(rows, dtype=np.float64))
 
 
 def _same_bits(a, b):
@@ -128,13 +140,16 @@ def _same_bits(a, b):
 @given(ndim=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_shared_cells_velocity_equals_per_field_interpolation(ndim, seed, data):
     grid = _GRIDS[ndim]
-    positions = data.draw(_positions(ndim))
+    positions = data.draw(_positions(grid))
     rng = np.random.default_rng(seed)
     rho = rng.random(grid.shape) ** 4  # small densities hit the eps floor
     nums = [rng.standard_normal(grid.shape) for _ in range(ndim)]
     out = np.empty_like(positions)
+    # entries past the last node stay NaN, so reading one fails the comparison
+    corners = np.full((1, rho.size, 2**ndim, 1 + ndim), np.nan)
+    pilotwave._lay_corners(grid, np.stack([rho, *nums])[None], corners)
     sampler = pilotwave._Sampler(grid, positions.shape[0])
-    sampler.velocity(np.stack([rho, *nums]), 1e-3, positions, out)
+    sampler.velocity(corners[0], 1e-3, positions, out)
     assert _same_bits(out, _per_field_velocity(grid, (rho, nums, 1e-3), positions))
 
 
@@ -152,7 +167,7 @@ def test_velocity_field_equals_per_call_reference(ndim, center, momentum, data):
     )
     psi = pilotwave.init_wavefunction(grid, profile)
     params = pilotwave.PhysicsParams(masses=(1.0, 2.0)[:ndim], potential=pilotwave.free())
-    positions = data.draw(_positions(ndim))
+    positions = data.draw(_positions(grid))
     expected = _per_field_velocity(grid, _per_call_flow_fields(psi, params), positions)
     assert _same_bits(pilotwave.velocity_field(psi, params, positions), expected)
     assert math.isfinite(float(np.abs(expected).max()))

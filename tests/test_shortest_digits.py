@@ -1,13 +1,16 @@
-"""The outcomes.csv coordinates: `cli._shortest_digits` against `float.__repr__`,
-and `cli._outcome_rows` against rows written with `repr` alone, including
-the values the kernel leaves to `repr` and at the writer's chunk edges."""
+"""The outcomes.csv and trajectories.csv coordinates: `cli._shortest_digits`
+and `cli._fixed_parts` against `float.__repr__`, and `cli._outcome_rows` and
+`cli._trajectory_rows` against rows written with `repr` alone, including
+the values the kernel leaves to `repr` and at the writers' chunk edges."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfoundations import circuit, cli
+from qfoundations import circuit, cli, pilotwave
 
 _LOW_BITS, _HIGH_BITS = (int(b) for b in np.array([1e-4, 1.0]).view(np.int64))
 _IN_RANGE = st.floats(1e-4, 1.0, exclude_max=True)
@@ -92,3 +95,129 @@ def test_outcome_rows_equal_repr_rows_with_fallback_values_at_chunk_edges(n):
     circ = circuit.build_eraser(circuit.INTERFERENCE, circuit.WHICHPATH)
     sample = circuit.sample_bohmian_runs(circ, n, 0, hidden=(labels, coords))
     assert "".join(cli._outcome_rows(sample, 0)) == _repr_rows(sample)
+
+
+# ---------------------------------------------------------------------------
+# signed values over every accepted decade, and trajectories.csv
+
+
+_SIGNED_LOW, _SIGNED_HIGH = (int(b) for b in np.array([1e-4, 1e15]).view(np.int64))
+_SIGNS = st.sampled_from([1.0, -1.0])
+# one accepted decade [10^j, 10^(j+1)) at a time, so each is drawn as often
+_DECADE_VALUES = st.builds(
+    lambda j, m, s: s * min(m * float(f"1e{j}"), float(np.nextafter(float(f"1e{j + 1}"), 0.0))),
+    st.integers(-4, 14), st.floats(1.0, 10.0, exclude_max=True), _SIGNS,
+)
+_SIGNED_BIT_PATTERNS = st.builds(
+    lambda bits, s: s * float(np.int64(bits).view(np.float64)),
+    st.integers(_SIGNED_LOW, _SIGNED_HIGH - 1), _SIGNS,
+)
+_ANY_BIT_PATTERNS = st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
+# the doubles just below each power of ten from 1e-4 to 1e16, both signs
+_BELOW_POWERS = [s * float(np.nextafter(float(f"1e{j}"), 0.0)) for j in range(-4, 17) for s in (1, -1)]
+_POSITIONS = [0.0, -0.0, 5e-05, -5e-05, 1e-4, -1e-4, 1.0, 10.0, -23.999999999999996, _TIE, -_TIE]
+
+
+def _fixed_mismatches(values):
+    """Values where the kernel's digits break its contract, or where the
+    pieces of `_fixed_parts` do not join to `repr`."""
+    x = np.asarray(values, dtype=np.float64)
+    digits, zeros, ok = cli._shortest_digits(x)
+    wrong = []
+    for v, d, z, good in zip(x.tolist(), digits.tolist(), zeros.tolist(), ok.tolist()):
+        # |v| == d * 10^-(z + len(str(d))), written as repr writes it
+        s = str(d)
+        places = z + len(s)
+        if places <= 0:
+            text = s + "0" * -places + ".0"
+        elif places >= len(s):
+            text = "0." + "0" * (places - len(s)) + s
+        else:
+            text = s[:-places] + "." + s[-places:]
+        if good and ("-" if math.copysign(1.0, v) < 0 else "") + text != repr(v):
+            wrong.append((v, "digits", d, z))
+    for v, *pieces in zip(x.tolist(), *cli._fixed_parts(x)):
+        if "".join(map(str, pieces)) != repr(v):
+            wrong.append((v, "pieces", pieces))
+    return wrong
+
+
+@settings(max_examples=300)
+@given(st.lists(_DECADE_VALUES, min_size=1, max_size=64))
+def test_fixed_parts_equal_repr_on_signed_values_in_every_decade(values):
+    assert _fixed_mismatches(values) == []
+
+
+@settings(max_examples=300)
+@given(st.lists(_SIGNED_BIT_PATTERNS, min_size=1, max_size=64))
+def test_fixed_parts_equal_repr_on_signed_bit_patterns(values):
+    assert _fixed_mismatches(values) == []
+
+
+@settings(max_examples=200)
+@given(st.lists(_ANY_BIT_PATTERNS, min_size=1, max_size=64))
+def test_fixed_parts_equal_repr_on_any_bit_pattern(values):
+    # NaN, infinities, subnormals and huge values all fall back to repr
+    with np.errstate(all="raise"):
+        assert _fixed_mismatches(values) == []
+
+
+@given(_DECADE_VALUES, st.integers(1, 15))
+def test_fixed_parts_equal_repr_on_signed_short_decimals(value, places):
+    assert _fixed_mismatches([float(f"{value:.{places}g}")]) == []
+
+
+def test_fixed_parts_below_powers_of_ten_and_at_hand_set_positions():
+    assert _fixed_mismatches(_BELOW_POWERS + _POSITIONS + _SPECIAL) == []
+    _, _, ok = cli._shortest_digits(np.array(_POSITIONS))
+    # zeros, values below 1e-4, the power of two 1.0 and the tie go to repr
+    assert ok.tolist() == [False] * 4 + [True] * 2 + [False, True, True, False, False]
+    # below 1e15: ties at 17 and at 16 digits, then an exact 16-digit value
+    top = [1e15, -1e15, 999999999999999.875, 999999999999999.75, 999999999999999.5, -999999999999999.5, 2.0**52]
+    _, _, ok = cli._shortest_digits(np.array(top))
+    assert ok.tolist() == [False, False, False, False, True, True, False]
+    assert _fixed_mismatches(top) == []
+
+
+def _repr_trajectory_rows(run):
+    ndim = run.grid.ndim
+    rows = ["trajectory_id,time," + ",".join(f"q{d + 1}" for d in range(ndim)) + "\n"]
+    for i in range(run.n_trajectories):
+        for t, q in zip(run.times.tolist(), run.positions[:, i].tolist()):
+            rows.append(f"{i},{t!r}," + ",".join(map(repr, q)) + "\n")
+    return "".join(rows)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_trajectory_rows_equal_repr_rows_on_a_run_with_absorbed_trajectories(ndim):
+    axes = [(-4.0, 4.0, 64), (-5.0, 5.0, 64)][:ndim]
+    grid = pilotwave.GridSpec.make(*axes)
+    profile = pilotwave.GaussianProfile(center=(0.3,) * ndim, width=(0.5,) * ndim, momentum=(2.0,) * ndim)
+    psi = pilotwave.init_wavefunction(grid, profile)
+    params = pilotwave.PhysicsParams(masses=(1.0, 2.0)[:ndim], potential=pilotwave.free())
+    # the last rows start beyond the absorbing margin, on both sides
+    positions = np.random.default_rng(ndim).uniform(-4.0, 4.0, (300, ndim))
+    positions[-2:] = [[-3.9] * ndim, [3.95] * ndim]
+    run = pilotwave.integrate_trajectories(psi, params, positions, 0.002, 30, save_every=3)
+    assert run.n_absorbed >= 2
+    assert "".join(cli._trajectory_rows(run)) == _repr_trajectory_rows(run)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_trajectory_rows_equal_repr_rows_with_fallback_values_at_chunk_edges(ndim):
+    steps = 7
+    per_chunk = _CHUNK // steps
+    n = 2 * per_chunk + 1
+    values = np.array(_BELOW_POWERS + _POSITIONS + _SPECIAL + [-s for s in _SPECIAL])
+    rng = np.random.default_rng(ndim)
+    positions = rng.uniform(-30.0, 30.0, (steps, n, ndim))
+    # every special value, in trajectories at and around each chunk edge
+    for i, tid in enumerate([0, per_chunk - 1, per_chunk, per_chunk + 1, n - 1]):
+        flat = positions[:, tid].reshape(-1)
+        flat[:] = np.roll(values, 3 * i)[: flat.size]
+    grid = pilotwave.GridSpec.make(*[(-32.0, 32.0, 64)] * ndim)
+    run = pilotwave.TrajectoryRun(
+        grid=grid, dt=0.1, saved_steps=np.arange(steps), times=0.1 * np.arange(steps),
+        positions=positions, absorbed_at=np.full(n, -1), wavefunctions=(),
+    )
+    assert "".join(cli._trajectory_rows(run)) == _repr_trajectory_rows(run)
