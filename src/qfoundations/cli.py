@@ -50,8 +50,9 @@ _MAX_THETA_DENOMINATOR = 64
 # grid allows outside [qmin, qmax]
 _NYQUIST_SPREADS = 5
 
-# outcomes.csv rows are converted from numpy and formatted this many at a
-# time, so the writer's memory does not grow with the number of runs
+# outcomes.csv and trajectories.csv rows are converted from numpy and
+# formatted about this many at a time, so the writers' memory does not grow
+# with the number of runs or trajectories
 _CSV_CHUNK_ROWS = 4096
 # outcomes.csv row pieces: the initial labels and x_L's head at index
 # 5 * (2 * label_L + label_R) + z, "," and x_R's head at z, the detector

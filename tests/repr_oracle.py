@@ -57,7 +57,7 @@ def signed_bit_patterns(rng, n):
     return np.where(rng.random(n) < 0.5, -x, x)
 
 
-def _spelled(v, d, z):
+def spelled(v, d, z):
     """|v| == d * 10^-(z + len(str(d))), spelled as repr spells it."""
     s = str(d)
     places = z + len(s)
@@ -74,7 +74,7 @@ def compare(x):
     """(disagreements, fallbacks) of the kernel against repr on x."""
     digits, zeros, ok = _shortest_digits(x)
     wrong = sum(
-        _spelled(v, d, z) != repr(v)
+        spelled(v, d, z) != repr(v)
         for v, d, z in zip(x[ok].tolist(), digits[ok].tolist(), zeros[ok].tolist())
     )
     wrong += sum(f"{s}{w}{p}{f}" != repr(v) for v, s, w, p, f in zip(x.tolist(), *_fixed_parts(x)))

@@ -3,14 +3,13 @@ and `cli._fixed_parts` against `float.__repr__`, and `cli._outcome_rows` and
 `cli._trajectory_rows` against rows written with `repr` alone, including
 the values the kernel leaves to `repr` and at the writers' chunk edges."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfoundations import circuit, cli, pilotwave
+from repr_oracle import spelled
 
 _LOW_BITS, _HIGH_BITS = (int(b) for b in np.array([1e-4, 1.0]).view(np.int64))
 _IN_RANGE = st.floats(1e-4, 1.0, exclude_max=True)
@@ -123,19 +122,11 @@ def _fixed_mismatches(values):
     pieces of `_fixed_parts` do not join to `repr`."""
     x = np.asarray(values, dtype=np.float64)
     digits, zeros, ok = cli._shortest_digits(x)
-    wrong = []
-    for v, d, z, good in zip(x.tolist(), digits.tolist(), zeros.tolist(), ok.tolist()):
-        # |v| == d * 10^-(z + len(str(d))), written as repr writes it
-        s = str(d)
-        places = z + len(s)
-        if places <= 0:
-            text = s + "0" * -places + ".0"
-        elif places >= len(s):
-            text = "0." + "0" * (places - len(s)) + s
-        else:
-            text = s[:-places] + "." + s[-places:]
-        if good and ("-" if math.copysign(1.0, v) < 0 else "") + text != repr(v):
-            wrong.append((v, "digits", d, z))
+    wrong = [
+        (v, "digits", d, z)
+        for v, d, z, good in zip(x.tolist(), digits.tolist(), zeros.tolist(), ok.tolist())
+        if good and spelled(v, d, z) != repr(v)
+    ]
     for v, *pieces in zip(x.tolist(), *cli._fixed_parts(x)):
         if "".join(map(str, pieces)) != repr(v):
             wrong.append((v, "pieces", pieces))
