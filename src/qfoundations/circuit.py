@@ -422,33 +422,34 @@ class BohmianSample:
             {(f"L{k // 4 + 1}", f"R{k % 4 + 1}"): int(c) for k, c in enumerate(counts) if c}
         )
 
-    def run_dicts(self, limit: int | None = None) -> list[dict]:
+    def run_dicts(self, rows: slice | np.ndarray = slice(None)) -> list[dict]:
         """Export form: one dict per run, matching the path-record JSON schema,
-        for the first `limit` runs (all runs when None)."""
+        for the runs that `rows` (a slice or an index array) selects."""
         left, right = self.circuit.settings
-        out = []
-        for i in range(self.n if limit is None else min(limit, self.n)):
-            recs = {}
-            for arm, a in (("L", 0), ("R", 1)):
-                entries = [[0, PATH_LABELS[self.labels0[i, a]]]]
-                for layer, labs in zip(self.bs_layers[arm], self.bs_labels[arm]):
-                    entries.append([int(layer), PATH_LABELS[labs[i]]])
-                recs[arm] = entries
-            out.append(
-                {
-                    "hidden": {
-                        "label_L": PATH_LABELS[self.labels0[i, 0]],
-                        "label_R": PATH_LABELS[self.labels0[i, 1]],
-                        "x_L": float(self.coords0[i, 0]),
-                        "x_R": float(self.coords0[i, 1]),
-                    },
-                    "settings": {"left": left, "right": right},
-                    "record_L": recs["L"],
-                    "record_R": recs["R"],
-                    "outcome": {"left": f"L{self.outcomes[i, 0]}", "right": f"R{self.outcomes[i, 1]}"},
-                }
-            )
-        return out
+        labels0 = self.labels0[rows]
+
+        def records(arm, a):
+            layers = [0, *map(int, self.bs_layers[arm])]
+            history = zip(labels0[:, a].tolist(), *(labs[rows].tolist() for labs in self.bs_labels[arm]))
+            return [[[layer, PATH_LABELS[k]] for layer, k in zip(layers, run)] for run in history]
+
+        runs = zip(labels0.tolist(), self.coords0[rows].tolist(), records("L", 0), records("R", 1),
+                   self.outcomes[rows].tolist())
+        return [
+            {
+                "hidden": {
+                    "label_L": PATH_LABELS[l0],
+                    "label_R": PATH_LABELS[r0],
+                    "x_L": x_l,
+                    "x_R": x_r,
+                },
+                "settings": {"left": left, "right": right},
+                "record_L": rec_l,
+                "record_R": rec_r,
+                "outcome": {"left": f"L{o_l}", "right": f"R{o_r}"},
+            }
+            for (l0, r0), (x_l, x_r), rec_l, rec_r, (o_l, o_r) in runs
+        ]
 
 
 @dataclass(frozen=True)

@@ -311,29 +311,6 @@ def _joint_distribution_payload(circ, dist, mode, n=None, counts=None) -> dict:
 # eraser scenario
 
 
-def _enumeration_runs(enum: circuit.TransportEnumeration) -> list[dict]:
-    """One representative run per enumeration cell (interval midpoints)."""
-    left, right = enum.circuit.settings
-    runs = []
-    for cell in enum.cells:
-        mid = [float(lo + hi) / 2 for lo, hi in cell.init]
-        runs.append(
-            {
-                "hidden": {
-                    "label_L": circuit.PATH_LABELS[cell.labels0[0]],
-                    "label_R": circuit.PATH_LABELS[cell.labels0[1]],
-                    "x_L": mid[0],
-                    "x_R": mid[1],
-                },
-                "settings": {"left": left, "right": right},
-                "record_L": [[int(l), str(lab)] for l, lab in cell.recs[0]],
-                "record_R": [[int(l), str(lab)] for l, lab in cell.recs[1]],
-                "outcome": {"left": cell.outcome["L"], "right": cell.outcome["R"]},
-            }
-        )
-    return runs
-
-
 def _split(a):
     """a as hi + lo, each with at most 26 significant bits (Veltkamp)."""
     t = 134217729.0 * a
@@ -458,12 +435,19 @@ def _run_eraser(cfg: dict):
     dist = circuit.copenhagen_joint_distribution(circ)
     enum = circuit.enumerate_transport(circ)
     rows = [(left, right, float(p)) for (left, right), p in sorted(dist.items())]
+    # one run per transport cell, from the midpoint of its initial rectangle
+    cells = (
+        [cell.labels0 for cell in enum.cells],
+        [[float(lo + hi) / 2 for lo, hi in cell.init] for cell in enum.cells],
+    )
     return [
         ("joint_distribution.json", lambda: _joint_distribution_payload(circ, dist, "analytic")),
         ("transport_distribution.json",
          lambda: _joint_distribution_payload(circ, enum.outcome_distribution, "analytic")),
         ("joint_distribution.csv", lambda: _csv("left,right,probability", "%s,%s,%r\n", rows)),
-        ("records.svg", lambda: svgplot.render_eraser_records(_enumeration_runs(enum))),
+        ("records.svg", lambda: svgplot.render_eraser_records(
+            circuit.sample_bohmian_runs(circ, 0, 0, hidden=cells).run_dicts()
+        )),
     ], True
 
 
@@ -475,8 +459,8 @@ def _montecarlo_eraser(cfg: dict, circ):
     run without the CSV formats no row."""
     parts = circuit.sample_eraser(circ, cfg["trials"], cfg["seed"], cfg["workers"], IDX_ERASER_A)
     first = next(parts)
-    yield "path_records.json", lambda: first.run_dicts(500)
-    yield "records.svg", lambda: svgplot.render_eraser_records(first.run_dicts(20))
+    yield "path_records.json", lambda: first.run_dicts(slice(500))
+    yield "records.svg", lambda: svgplot.render_eraser_records(first.run_dicts(slice(20)))
     counts: Counter = Counter()
     n = 0
 

@@ -8,14 +8,20 @@ immediate second measurement agree), branch/collapse agreement (do branch
 weights match collapse frequencies), and the CHSH combination of
 correlators.  A test runs in one of two modes: analytic, where the tables
 are exact probabilities (`exact.Cyclotomic` scalars from the circuit's
-analytic engine or exact branching) and verdicts rest on exact zero tests,
-and monte-carlo, where they are `collections.Counter` tables of run counts
-keyed like the analytic tables (n is the sum of the counts) and verdicts
-rest on 99% confidence intervals.  A monte-carlo verdict is never
-"violated" or "satisfied" while the interval straddles the threshold; such
-runs come back "inconclusive".  An analytic test refuses float
-probabilities, and a test over several groups refuses a mix of analytic and
-monte-carlo ones, with a TypeError.
+analytic engine or exact branching), and monte-carlo, where they are
+`collections.Counter` tables of run counts keyed like the analytic tables
+(n is the sum of the counts).  Each mode has one verdict rule:
+
+- analytic (`_exact_report`): "violated" exactly when the exact statistic is
+  nonzero, else "satisfied";
+- monte-carlo (`_interval_verdict`), over the test's family of 99% intervals
+  for quantities that are zero under the null: "violated" if any interval
+  excludes zero, "satisfied" only if every interval lies inside
+  +/-EQUIVALENCE_MARGIN, else "inconclusive".
+
+The z and KS agreement tests and the CHSH bounds decide two ways instead.
+An analytic test refuses float probabilities, and a test over several
+groups refuses a mix of analytic and monte-carlo ones, with a TypeError.
 
 The claims suite is `CLAIMS`, seventeen (name, expected verdict, test)
 entries in output order; each test reads the one `ClaimEvidence` that
@@ -140,14 +146,16 @@ def _jsonable(value):
 
 
 def wilson_interval(k: int, n: int, z: float = Z99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion.  At k = 0 the lower
+    bound is exactly 0: center and half are then equal, but can round apart."""
     if n <= 0:
         raise ValueError("need at least one sample")
     p = k / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    lo = 0.0 if k == 0 else max(0.0, center - half)
+    return lo, min(1.0, center + half)
 
 
 def _newcombe_diff_ci(ka: int, na: int, kb: int, nb: int, z: float = Z99) -> tuple[float, float]:
@@ -166,18 +174,34 @@ def _newcombe_diff_ci(ka: int, na: int, kb: int, nb: int, z: float = Z99) -> tup
     return lo, hi
 
 
-def _interval_verdict(ci_low: float, ci_high: float, margin: float = EQUIVALENCE_MARGIN) -> str:
-    """Three-way verdict for a difference CI against threshold zero.
+def _interval_verdict(intervals: Sequence[tuple[float, float]]) -> str:
+    """The one Monte-Carlo verdict: a family of (low, high) intervals for
+    quantities that the null hypothesis puts at zero.
 
-    Excluding zero settles "violated"; "satisfied" additionally needs the
-    whole interval inside (-margin, margin), so an interval wide enough to
-    hide a real effect is reported inconclusive, never blessed.
+    Any interval that excludes zero settles "violated"; "satisfied" needs
+    every interval inside (-EQUIVALENCE_MARGIN, EQUIVALENCE_MARGIN), so an
+    interval wide enough to hide a real effect is reported inconclusive,
+    never blessed.
     """
-    if ci_low > 0.0 or ci_high < 0.0:
+    if any(lo > 0.0 or hi < 0.0 for lo, hi in intervals):
         return VIOLATED
-    if max(abs(ci_low), abs(ci_high)) < margin:
+    if all(max(abs(lo), abs(hi)) < EQUIVALENCE_MARGIN for lo, hi in intervals):
         return SATISFIED
     return INCONCLUSIVE
+
+
+def _exact_report(test: str, statistic, details: dict) -> TestReport:
+    """The one analytic verdict: "violated" exactly when the exact statistic,
+    which the null hypothesis puts at zero, is nonzero."""
+    return TestReport(
+        test=test,
+        statistic=abs(float(statistic)),
+        threshold=0.0,
+        verdict=VIOLATED if statistic != 0 else SATISFIED,
+        n=0,
+        mode=ANALYTIC,
+        details=details,
+    )
 
 
 def _require_exact(tables) -> None:
@@ -243,22 +267,15 @@ def local_causality_test(records, a_event: str, b_event: str) -> TestReport:
         pab = sum(p for pair, p in records.items() if a_event in pair and b_event in pair)
         if pb == 0:
             raise ValueError(f"conditioning event {b_event!r} has probability zero")
-        diff = pab / pb - pa
-        return TestReport(
-            test="local_causality",
-            statistic=abs(float(diff)),
-            threshold=0.0,
-            verdict=VIOLATED if diff != 0 else SATISFIED,
-            n=0,
-            mode=ANALYTIC,
-            details={
-                "a_event": a_event,
-                "b_event": b_event,
-                "p_a": float(pa),
-                "p_a_given_b": float(pab / pb),
-                "exact_statistic": abs(diff),
-            },
-        )
+        stat = abs(pab / pb - pa)
+        details = {
+            "a_event": a_event,
+            "b_event": b_event,
+            "p_a": float(pa),
+            "p_a_given_b": float(pab / pb),
+            "exact_statistic": stat,
+        }
+        return _exact_report("local_causality", stat, details)
 
     n = sum(records.values())
     na = sum(k for pair, k in records.items() if a_event in pair)
@@ -276,7 +293,7 @@ def local_causality_test(records, a_event: str, b_event: str) -> TestReport:
         test="local_causality",
         statistic=abs(diff),
         threshold=0.0,
-        verdict=_interval_verdict(*ci),
+        verdict=_interval_verdict([ci]),
         n=n,
         mode=MONTE_CARLO,
         details={
@@ -358,15 +375,7 @@ def _mi_analytic(groups: Mapping, stage: str) -> TestReport:
         details["initial_config_tv"] = float(init_tv)
         details["initial_config_tv_exact"] = init_tv
 
-    return TestReport(
-        test="measurement_independence",
-        statistic=abs(float(stat)),
-        threshold=0.0,
-        verdict=VIOLATED if stat != 0 else SATISFIED,
-        n=0,
-        mode=ANALYTIC,
-        details=details,
-    )
+    return _exact_report("measurement_independence", stat, details)
 
 
 def _arm_record_marginal(enum: circuit.TransportEnumeration, arm: str) -> dict:
@@ -416,17 +425,11 @@ def measurement_independence_test(groups: Mapping, stage: str = "pre_detection")
     # conservative sampling allowance: E TV-hat <= sqrt(K/n) per group even
     # when the true distance is zero
     allowance = 0.5 * Z99 * (math.sqrt(support / na) + math.sqrt(support / nb))
-    if stat > allowance:
-        verdict = VIOLATED
-    elif allowance < EQUIVALENCE_MARGIN:
-        verdict = SATISFIED
-    else:
-        verdict = INCONCLUSIVE
     return TestReport(
         test="measurement_independence",
         statistic=stat,
         threshold=0.0,
-        verdict=verdict,
+        verdict=_interval_verdict([(stat - allowance, stat + allowance)]),
         n=min(sizes.values()),
         mode=MONTE_CARLO,
         details={
@@ -435,14 +438,6 @@ def measurement_independence_test(groups: Mapping, stage: str = "pre_detection")
             "allowance": allowance,
             "margin": EQUIVALENCE_MARGIN,
         },
-    )
-
-
-def _left_record(sample: circuit.BohmianSample, i: int) -> tuple:
-    """Run i's left path record: ((layer, label), ...) from layer 0."""
-    return ((0, circuit.PATH_LABELS[sample.labels0[i, 0]]),) + tuple(
-        (int(layer), circuit.PATH_LABELS[labs[i]])
-        for layer, labs in zip(sample.bs_layers["L"], sample.bs_labels["L"])
     )
 
 
@@ -472,32 +467,22 @@ def trajectory_setting_dependence(
     changed = np.zeros(n, dtype=bool)
     for labs_a, labs_b in zip(a.bs_labels["L"], b.bs_labels["L"]):
         changed |= labs_a != labs_b
+    rows = np.flatnonzero(changed)[:max_examples]
     examples = [
         {
-            "hidden": {
-                "label_L": circuit.PATH_LABELS[a.labels0[i, 0]],
-                "label_R": circuit.PATH_LABELS[a.labels0[i, 1]],
-                "x_L": float(a.coords0[i, 0]),
-                "x_R": float(a.coords0[i, 1]),
-            },
-            "record_left_interference": _left_record(a, i),
-            "record_left_whichpath": _left_record(b, i),
+            "hidden": run_a["hidden"],
+            "record_left_interference": run_a["record_L"],
+            "record_left_whichpath": run_b["record_L"],
         }
-        for i in np.flatnonzero(changed)[:max_examples]
+        for run_a, run_b in zip(a.run_dicts(rows), b.run_dicts(rows))
     ]
     k = int(changed.sum())
     lo, hi = wilson_interval(k, n)
-    if k == 0:
-        verdict = SATISFIED
-    elif lo > 0.0:
-        verdict = VIOLATED
-    else:
-        verdict = INCONCLUSIVE
     return TestReport(
         test="trajectory_setting_dependence",
         statistic=k / n,
         threshold=0.0,
-        verdict=verdict,
+        verdict=_interval_verdict([(lo, hi)]),
         n=n,
         mode=MONTE_CARLO,
         details={"examples": examples, "ci_low": lo, "ci_high": hi},
@@ -534,53 +519,33 @@ def no_signaling_test(groups: Mapping, side: str = "left") -> TestReport:
             for mi, mj in itertools.combinations(margs.values(), 2)
             for a in mi.keys() | mj.keys()
         )
-        return TestReport(
-            test="no_signaling",
-            statistic=float(stat),
-            threshold=0.0,
-            verdict=VIOLATED if stat != 0 else SATISFIED,
-            n=0,
-            mode=ANALYTIC,
-            details={
-                "marginals": {str(k): {a: float(p) for a, p in m.items()} for k, m in margs.items()},
-                "exact_statistic": stat,
-            },
-        )
+        details = {
+            "marginals": {str(k): {a: float(p) for a, p in m.items()} for k, m in margs.items()},
+            "exact_statistic": stat,
+        }
+        return _exact_report("no_signaling", stat, details)
 
     counts = {key: _local_marginal(table, idx) for key, table in groups.items()}
     sizes = {key: sum(table.values()) for key, table in groups.items()}
 
-    keys = list(counts)
     stat = 0.0
-    excluded = False
-    widest = 0.0
-    for i in range(len(keys)):
-        for j in range(i + 1, len(keys)):
-            ni, nj = sizes[keys[i]], sizes[keys[j]]
-            for a in set(counts[keys[i]]) | set(counts[keys[j]]):
-                ki = counts[keys[i]].get(a, 0)
-                kj = counts[keys[j]].get(a, 0)
-                stat = max(stat, abs(ki / ni - kj / nj))
-                lo, hi = _newcombe_diff_ci(ki, ni, kj, nj)
-                if lo > 0.0 or hi < 0.0:
-                    excluded = True
-                widest = max(widest, abs(lo), abs(hi))
-    if excluded:
-        verdict = VIOLATED
-    elif widest < EQUIVALENCE_MARGIN:
-        verdict = SATISFIED
-    else:
-        verdict = INCONCLUSIVE
+    intervals = []
+    for i, j in itertools.combinations(counts, 2):
+        ni, nj = sizes[i], sizes[j]
+        for a in set(counts[i]) | set(counts[j]):
+            ki, kj = counts[i].get(a, 0), counts[j].get(a, 0)
+            stat = max(stat, abs(ki / ni - kj / nj))
+            intervals.append(_newcombe_diff_ci(ki, ni, kj, nj))
     return TestReport(
         test="no_signaling",
         statistic=stat,
         threshold=0.0,
-        verdict=verdict,
+        verdict=_interval_verdict(intervals),
         n=min(sizes.values()),
         mode=MONTE_CARLO,
         details={
-            "settings": [str(k) for k in keys],
-            "widest_ci_edge": widest,
+            "settings": [str(k) for k in counts],
+            "widest_ci_edge": max(max(abs(lo), abs(hi)) for lo, hi in intervals),
             "margin": EQUIVALENCE_MARGIN,
         },
     )
@@ -765,19 +730,12 @@ def repeatability_test(
         born = hilbert.branch_joint_distribution(state, [dict(zip(labels, map(np.diag, eye)))])
         probs = {label: born.get((label,), ex.ZERO) for label in labels}
         stat = ex.ZERO if collapse else sum(p * (1 - p) for p in probs.values())
-        return TestReport(
-            test="repeatability",
-            statistic=float(stat),
-            threshold=0.0,
-            verdict=VIOLATED if stat != 0 else SATISFIED,
-            n=0,
-            mode=ANALYTIC,
-            details={
-                "collapse": collapse,
-                "outcome_probabilities": {label: float(p) for label, p in probs.items()},
-                "exact_statistic": stat,
-            },
-        )
+        details = {
+            "collapse": collapse,
+            "outcome_probabilities": {label: float(p) for label, p in probs.items()},
+            "exact_statistic": stat,
+        }
+        return _exact_report("repeatability", stat, details)
 
     if observable is None:
         observable = hilbert.path_observable(state.space)
@@ -788,20 +746,11 @@ def repeatability_test(
     differ = int(np.count_nonzero(~same[picks[:, 0], picks[:, 1]]))
     stat = differ / n
     lo, hi = wilson_interval(differ, n)
-    # the projection postulate predicts zero flips outright, so any flip
-    # whose CI clears zero falsifies it; "satisfied" still demands enough
-    # trials that a real flip rate would have shown up
-    if differ == 0 and hi < EQUIVALENCE_MARGIN:
-        verdict = SATISFIED
-    elif lo > 0.0:
-        verdict = VIOLATED
-    else:
-        verdict = INCONCLUSIVE
     return TestReport(
         test="repeatability",
         statistic=stat,
         threshold=0.0,
-        verdict=verdict,
+        verdict=_interval_verdict([(lo, hi)]),
         n=n,
         mode=MONTE_CARLO,
         details={
@@ -1106,14 +1055,8 @@ def _transport_equivariance(ev: ClaimEvidence) -> TestReport:
             checked += 1
             if dev > worst:
                 worst = dev
-    return TestReport(
-        test="transport_equivariance",
-        statistic=float(worst),
-        threshold=0.0,
-        verdict=SATISFIED if worst == 0 else VIOLATED,
-        n=0,
-        mode=ANALYTIC,
-        details={"layer_tables_checked": checked, "settings": 4, "orderings": 2},
+    return _exact_report(
+        "transport_equivariance", worst, {"layer_tables_checked": checked, "settings": 4, "orderings": 2}
     )
 
 

@@ -52,7 +52,6 @@ __all__ = [
     "Potential",
     "free",
     "harmonic",
-    "double_slit_barrier",
     "PhysicsParams",
     "GaussianProfile",
     "TwoGaussianProfile",
@@ -170,30 +169,15 @@ class Potential:
         self.params = dict(params)
 
     def values(self, grid: GridSpec, masses: Sequence[float]) -> np.ndarray:
-        meshes = grid.meshes()
         if self.kind == "free":
             return np.zeros(grid.shape)
         if self.kind == "harmonic":
             omega = self.params["omega"]
             centers = self.params.get("center") or (0.0,) * grid.ndim
             v = np.zeros(grid.shape)
-            for m, q, c in zip(masses, meshes, centers):
+            for m, q, c in zip(masses, grid.meshes(), centers):
                 v = v + 0.5 * m * omega**2 * (q - c) ** 2
             return v
-        if self.kind == "double_slit_barrier":
-            h = self.params["height"]
-            w = self.params["thickness"]
-            c = self.params.get("center", 0.0)
-            wall = h * np.exp(-((meshes[0] - c) ** 2) / (2.0 * w**2))
-            if grid.ndim == 1:
-                return wall
-            d = self.params["slit_separation"]
-            a = self.params["slit_width"]
-            y = meshes[1]
-            openings = np.exp(-((y - d / 2) ** 2) / (2 * a**2)) + np.exp(
-                -((y + d / 2) ** 2) / (2 * a**2)
-            )
-            return wall * np.clip(1.0 - openings, 0.0, 1.0)
         raise ValueError(f"unknown potential kind {self.kind!r}")
 
 
@@ -203,25 +187,6 @@ def free() -> Potential:
 
 def harmonic(omega: float, center: Sequence[float] | None = None) -> Potential:
     return Potential("harmonic", {"omega": float(omega), "center": tuple(center) if center else None})
-
-
-def double_slit_barrier(
-    height: float,
-    thickness: float,
-    slit_separation: float = 0.0,
-    slit_width: float = 1.0,
-    center: float = 0.0,
-) -> Potential:
-    return Potential(
-        "double_slit_barrier",
-        {
-            "height": float(height),
-            "thickness": float(thickness),
-            "slit_separation": float(slit_separation),
-            "slit_width": float(slit_width),
-            "center": float(center),
-        },
-    )
 
 
 @dataclass(frozen=True)

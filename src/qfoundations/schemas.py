@@ -55,7 +55,6 @@ SCENARIO_CONFIG = {
         "right": _SETTING,
         "theta": {"type": ["number", "null"], "minimum": 0, "maximum": 1.5707963267948966},
         "right_acts_first": {"type": "boolean"},
-        "collapse": {"type": "boolean"},
         "qmin": {"type": "number"},
         "qmax": {"type": "number"},
         "npoints": {"type": "integer", "minimum": 64},

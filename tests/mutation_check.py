@@ -31,67 +31,70 @@ _CLI = "src/qfoundations/cli.py"
 
 # name -> (file, old text, new text)
 MUTANTS = {
+    "interval_violated_all": (
+        _INF,
+        "    if any(lo > 0.0 or hi < 0.0 for lo, hi in intervals):",
+        "    if all(lo > 0.0 or hi < 0.0 for lo, hi in intervals):",
+    ),
     "interval_violated_and": (
         _INF,
-        "    if ci_low > 0.0 or ci_high < 0.0:\n        return VIOLATED",
-        "    if ci_low > 0.0 and ci_high < 0.0:\n        return VIOLATED",
+        "    if any(lo > 0.0 or hi < 0.0 for lo, hi in intervals):",
+        "    if any(lo > 0.0 and hi < 0.0 for lo, hi in intervals):",
+    ),
+    "interval_satisfied_any": (
+        _INF,
+        "    if all(max(abs(lo), abs(hi)) < EQUIVALENCE_MARGIN for lo, hi in intervals):",
+        "    if any(max(abs(lo), abs(hi)) < EQUIVALENCE_MARGIN for lo, hi in intervals):",
     ),
     "interval_width_min": (
         _INF,
-        "    if max(abs(ci_low), abs(ci_high)) < margin:",
-        "    if min(abs(ci_low), abs(ci_high)) < margin:",
+        "    if all(max(abs(lo), abs(hi)) < EQUIVALENCE_MARGIN for lo, hi in intervals):",
+        "    if all(min(abs(lo), abs(hi)) < EQUIVALENCE_MARGIN for lo, hi in intervals):",
     ),
     "interval_margin_doubled": (
         _INF,
-        "    if max(abs(ci_low), abs(ci_high)) < margin:",
-        "    if max(abs(ci_low), abs(ci_high)) < 2 * margin:",
+        "    if all(max(abs(lo), abs(hi)) < EQUIVALENCE_MARGIN for lo, hi in intervals):",
+        "    if all(max(abs(lo), abs(hi)) < 2 * EQUIVALENCE_MARGIN for lo, hi in intervals):",
+    ),
+    "exact_report_inverted": (
+        _INF,
+        "        verdict=VIOLATED if statistic != 0 else SATISFIED,",
+        "        verdict=VIOLATED if statistic == 0 else SATISFIED,",
+    ),
+    "wilson_zero_fix_dropped": (
+        _INF,
+        "    lo = 0.0 if k == 0 else max(0.0, center - half)",
+        "    lo = max(0.0, center - half)",
+    ),
+    "local_causality_interval_to_point": (
+        _INF,
+        "        verdict=_interval_verdict([ci]),",
+        "        verdict=_interval_verdict([(diff, diff)]),",
+    ),
+    "independence_interval_halved": (
+        _INF,
+        "_interval_verdict([(stat - allowance, stat + allowance)])",
+        "_interval_verdict([(stat - allowance / 2, stat + allowance / 2)])",
+    ),
+    "no_signaling_interval_halved": (
+        _INF,
+        "            intervals.append(_newcombe_diff_ci(ki, ni, kj, nj))",
+        "            intervals.append(_newcombe_diff_ci(ki, ni, kj, nj, Z99 / 2))",
+    ),
+    "repeatability_interval_halved": (
+        _INF,
+        "    lo, hi = wilson_interval(differ, n)",
+        "    lo, hi = wilson_interval(differ, n, Z99 / 2)",
+    ),
+    "setting_dependence_interval_halved": (
+        _INF,
+        "    lo, hi = wilson_interval(k, n)",
+        "    lo, hi = wilson_interval(k, n, Z99 / 2)",
     ),
     "independence_allowance_tenth": (
         _INF,
         "    allowance = 0.5 * Z99 *",
         "    allowance = 0.05 * Z99 *",
-    ),
-    "independence_satisfied_margin_tenfold": (
-        _INF,
-        "    elif allowance < EQUIVALENCE_MARGIN:",
-        "    elif allowance < 10 * EQUIVALENCE_MARGIN:",
-    ),
-    "setting_dependence_upper_bound": (
-        _INF,
-        "    if k == 0:\n        verdict = SATISFIED\n    elif lo > 0.0:",
-        "    if k == 0:\n        verdict = SATISFIED\n    elif hi > 0.0:",
-    ),
-    "setting_dependence_one_change_satisfied": (
-        _INF,
-        "    if k == 0:\n        verdict = SATISFIED",
-        "    if k <= 1:\n        verdict = SATISFIED",
-    ),
-    "no_signaling_excluded_and": (
-        _INF,
-        "                if lo > 0.0 or hi < 0.0:\n                    excluded = True",
-        "                if lo > 0.0 and hi < 0.0:\n                    excluded = True",
-    ),
-    "no_signaling_margin_tenfold": (
-        _INF,
-        "    elif widest < EQUIVALENCE_MARGIN:",
-        "    elif widest < 10 * EQUIVALENCE_MARGIN:",
-    ),
-    "no_signaling_widest_min": (
-        _INF,
-        "widest = max(widest, abs(lo), abs(hi))",
-        "widest = max(widest, min(abs(lo), abs(hi)))",
-    ),
-    "repeatability_satisfied_without_power": (
-        _INF,
-        "    if differ == 0 and hi < EQUIVALENCE_MARGIN:",
-        "    if differ == 0:",
-    ),
-    "repeatability_any_flip_violates": (
-        _INF,
-        "        verdict = SATISFIED\n    elif lo > 0.0:\n        verdict = VIOLATED\n    else:\n"
-        "        verdict = INCONCLUSIVE\n    return TestReport(\n        test=\"repeatability\"",
-        "        verdict = SATISFIED\n    elif differ > 0:\n        verdict = VIOLATED\n    else:\n"
-        "        verdict = INCONCLUSIVE\n    return TestReport(\n        test=\"repeatability\"",
     ),
     "branch_collapse_or": (
         _INF,
@@ -152,13 +155,7 @@ MUTANTS = {
 
 # mutants that no test can kill, because they do not change the program's
 # behaviour on any input it accepts: name -> reason
-EQUIVALENT = {
-    "repeatability_any_flip_violates": (
-        "the Wilson lower bound is positive exactly when the count is: zero flips give "
-        "lo = 0, and one flip gives lo > 0 at every n (1.2e-15 at n = 1e14), so lo > 0 "
-        "and differ > 0 select the same runs"
-    ),
-}
+EQUIVALENT: dict = {}
 
 
 def _copy(dest: str) -> None:

@@ -627,6 +627,15 @@ def test_config_schema_violation_reports_path(tmp_path, capsys):
     assert "config error at" in err and "trials" in err
 
 
+def test_config_key_no_scenario_reads_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"collapse": False}))
+    code = main(["run", "repeatability", "--config", str(cfg), "--out", str(tmp_path / "rep")])
+    assert code == 1
+    assert "'collapse' was unexpected" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
 def test_config_malformed_json(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{\"trials\": }")

@@ -78,6 +78,9 @@ def test_wilson_interval_matches_quadratic_roots():
 def test_wilson_interval_edges_and_validation():
     lo, hi = inference.wilson_interval(0, 50)
     assert lo == 0.0 and 0.0 < hi < 0.3
+    # center and half-width are equal at k = 0 but can round apart (by
+    # 2.8e-17 at n = 13); the lower bound must still be exactly zero
+    assert all(inference.wilson_interval(0, n)[0] == 0.0 for n in range(1, 200_001))
     lo, hi = inference.wilson_interval(50, 50)
     assert hi == 1.0 and lo > 0.7
     with pytest.raises(ValueError):
@@ -587,7 +590,64 @@ def test_claim_evidence_refuses_zero_trials():
     ],
 )
 def test_interval_verdict_at_the_margin(ci, verdict):
-    assert inference._interval_verdict(*ci, margin=0.05) == verdict
+    assert inference.EQUIVALENCE_MARGIN == 0.05
+    assert inference._interval_verdict([ci]) == verdict
+
+
+@pytest.mark.parametrize(
+    "intervals, verdict",
+    [
+        # one interval that excludes zero settles the family
+        ([(-0.01, 0.01), (0.001, 0.02)], inference.VIOLATED),
+        ([(-0.3, 0.3), (-0.02, -0.001)], inference.VIOLATED),
+        # one interval too wide to bless keeps the family inconclusive
+        ([(-0.01, 0.01), (-0.01, 0.2)], inference.INCONCLUSIVE),
+        ([(-0.01, 0.01), (-0.02, 0.02)], inference.SATISFIED),
+    ],
+)
+def test_interval_verdict_over_a_family(intervals, verdict):
+    assert inference._interval_verdict(intervals) == verdict
+    assert inference._interval_verdict(intervals[::-1]) == verdict
+
+
+def test_local_causality_monte_carlo_difference_inside_its_interval_is_inconclusive():
+    # P(R1) = 0.5 against P(R1 | L1) = 0.6 over ten runs: the difference lies
+    # well inside its interval, so it neither violates nor blesses anything
+    records = Counter({("L1", "R1"): 3, ("L1", "R2"): 2, ("L2", "R1"): 2, ("L2", "R2"): 3})
+    report = inference.local_causality_test(records, "R1", "L1")
+    assert report.statistic > 0.09
+    assert report.details["ci_low"] < 0.0 < report.details["ci_high"]
+    assert report.verdict == inference.INCONCLUSIVE
+
+
+def test_no_signaling_monte_carlo_shift_inside_its_interval_is_satisfied():
+    # marginals 0.5075 and 0.4925 over 10 000 runs each: the 0.015 shift lies
+    # inside its 99% interval, and every interval inside the margin
+    a = Counter({("L1", "R1"): 5075, ("L2", "R1"): 4925})
+    b = Counter({("L1", "R1"): 4925, ("L2", "R1"): 5075})
+    report = inference.no_signaling_test({"a": a, "b": b})
+    assert abs(report.statistic - 0.015) < 1e-12
+    assert 0.015 < report.details["widest_ci_edge"] < inference.EQUIVALENCE_MARGIN
+    assert report.verdict == inference.SATISFIED
+
+
+# zero changes or flips bless the null only when the Wilson upper bound
+# z^2 / (n + z^2) is inside the margin, from n = 127 on
+@pytest.mark.parametrize("n, verdict", [(13, inference.INCONCLUSIVE), (126, inference.INCONCLUSIVE),
+                                        (127, inference.SATISFIED)])
+def test_repeatability_with_collapse_blesses_zero_flips_only_with_power(n, verdict):
+    report = inference.repeatability_test(n, collapse=True)
+    assert report.details["differing"] == 0
+    assert report.details["ci_low"] == 0.0
+    assert report.verdict == verdict
+
+
+@pytest.mark.parametrize("n, verdict", [(126, inference.INCONCLUSIVE), (127, inference.SATISFIED)])
+def test_setting_dependence_blesses_zero_changes_only_with_power(n, verdict):
+    # with the left arm acting first, its record cannot depend on the right setting
+    report = inference.trajectory_setting_dependence(n, seed=0, right_acts_first=False)
+    assert report.statistic == 0.0
+    assert report.verdict == verdict
 
 
 @pytest.mark.parametrize(
@@ -605,10 +665,10 @@ def test_setting_dependence_is_violated_only_when_the_lower_bound_clears_zero(mo
     assert report.verdict == verdict
 
 
-@pytest.mark.parametrize("seed, changed, verdict", [(0, 0, inference.SATISFIED), (1, 1, inference.VIOLATED)])
+@pytest.mark.parametrize("seed, changed, verdict", [(0, 0, inference.INCONCLUSIVE), (1, 1, inference.VIOLATED)])
 def test_setting_dependence_of_one_run(seed, changed, verdict):
-    # one changed run in one clears zero (Wilson lower bound 0.13); only
-    # no change at all is satisfied
+    # one changed run in one clears zero (Wilson lower bound 0.13); no change
+    # in one run is too little evidence to bless (upper bound 0.87)
     report = inference.trajectory_setting_dependence(1, seed=seed)
     assert report.statistic == changed
     assert report.verdict == verdict
