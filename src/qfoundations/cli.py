@@ -79,6 +79,9 @@ _COMMON_DEFAULTS = {
     "formats": ["json", "csv"],
     "workers": 1,
 }
+# a run flag's value type, by its config key's JSON type
+_FLAG_TYPES = {"integer": int, "number": float, "string": str}
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse that exits with the documented usage code."""
@@ -96,27 +99,18 @@ def _build_parser() -> _Parser:
     run = sub.add_parser("run", help="execute a scenario and write its artifacts")
     run.add_argument("scenario", choices=_SCENARIOS)
     run.add_argument("--config", help="JSON config file; flags override its fields")
-    run.add_argument("--seed", type=int)
-    run.add_argument("--trials", type=int)
-    run.add_argument("--mode", choices=["analytic", "montecarlo"])
-    run.add_argument("--out", help="output directory")
     run.add_argument("--format", dest="formats", help="comma list from csv,json,svg")
-    run.add_argument("--workers", type=int)
-    run.add_argument("--left", choices=["interference", "whichpath"])
-    run.add_argument("--right", choices=["interference", "whichpath"])
-    run.add_argument("--theta", type=float)
-    run.add_argument("--right-acts-first", action=argparse.BooleanOptionalAction, default=None)
-    run.add_argument("--qmin", type=float)
-    run.add_argument("--qmax", type=float)
-    run.add_argument("--npoints", type=int)
-    run.add_argument("--dt", type=float)
-    run.add_argument("--steps", type=int)
-    run.add_argument("--save-every", dest="save_every", type=int)
-    run.add_argument("--sigma", type=float)
-    run.add_argument("--separation", type=float)
-    run.add_argument("--omega", type=float)
-    run.add_argument("--x0", type=float)
-    run.add_argument("--grid-step-count", dest="grid_step_count", type=int)
+    # every other config key is the flag --key-name, typed by its schema
+    for key, spec in schemas.SCENARIO_CONFIG["properties"].items():
+        if key in ("scenario", "formats"):
+            continue
+        flag, kind = "--" + key.replace("_", "-"), spec.get("type")
+        if "enum" in spec:
+            run.add_argument(flag, choices=spec["enum"])
+        elif kind == "boolean":
+            run.add_argument(flag, action=argparse.BooleanOptionalAction)
+        else:  # theta's type is ["number", "null"]; no flag spells null
+            run.add_argument(flag, type=_FLAG_TYPES[kind if isinstance(kind, str) else kind[0]])
 
     plot = sub.add_parser("plot", help="render a trajectory CSV or path-record JSON as SVG")
     plot.add_argument("input")
@@ -152,10 +146,11 @@ def _load_config_file(path: str) -> dict:
 
 
 def _merge_config(args) -> dict:
-    cfg = dict(_COMMON_DEFAULTS)
-    cfg.update(_SCENARIOS[args.scenario][1])
-    cfg["scenario"] = args.scenario
-    cfg["out"] = os.path.join("out", args.scenario)
+    cfg = {**_COMMON_DEFAULTS, **_SCENARIOS[args.scenario][1],
+           "scenario": args.scenario, "out": os.path.join("out", args.scenario)}
+    # cut to the keys that the scenario reads, the schema refuses any other
+    properties = {k: v for k, v in schemas.SCENARIO_CONFIG["properties"].items() if k in cfg}
+    schema = {**schemas.SCENARIO_CONFIG, "properties": properties}
 
     if args.config:
         file_cfg = _load_config_file(args.config)
@@ -178,15 +173,18 @@ def _merge_config(args) -> dict:
             raise _fail_usage(f"config error at $.{key}: {value!r} is not a finite number")
 
     # a stable sort by path keeps each path's errors in keyword order
-    errors = sorted(schemas.errors(schemas.SCENARIO_CONFIG, cfg), key=lambda e: e[0])
+    errors = sorted(schemas.errors(schema, cfg), key=lambda e: e[0])
     if errors:
         for path, message in errors:
             print(f"qfoundations: config error at {path}: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+    # JSON Schema counts 512.0 an integer; the engines take an int
+    cfg.update((k, int(cfg[k])) for k, spec in properties.items() if spec.get("type") == "integer")
 
     # checks that span fields, made before anything is written
     analytic = cfg["mode"] == "analytic"
-    if analytic and _SCENARIOS[cfg["scenario"]][0] is _run_grid_scenario:
+    on_grid = _SCENARIOS[cfg["scenario"]][0] is _run_grid_scenario
+    if analytic and on_grid:
         raise _fail_usage(f"scenario {cfg['scenario']} has no analytic mode; use --mode montecarlo")
     if analytic and cfg["scenario"] == "eraser" and cfg["theta"] is not None:
         if _pi_fraction(cfg["theta"]) is None:
@@ -195,25 +193,29 @@ def _merge_config(args) -> dict:
                 f"{_MAX_THETA_DENOMINATOR} (within 1e-12), which analytic mode needs; "
                 "use --mode montecarlo for other angles"
             )
-    if not analytic and cfg["scenario"] == "bell_chsh" and cfg["trials"] < 2:
-        raise _fail_usage(
-            f"config error at $.trials: {cfg['trials']} is too few; the Monte-Carlo "
-            "standard error needs a sample variance, so at least 2 trials per setting"
-        )
-    if _SCENARIOS[cfg["scenario"]][0] is _run_grid_scenario and cfg["qmax"] > cfg["qmin"]:
-        harmonic = cfg["scenario"] == "harmonic"
-        key = "omega" if harmonic else "sigma"
-        width = math.sqrt(1.0 / (2.0 * cfg["omega"])) if harmonic else cfg["sigma"]
-        dq = (cfg["qmax"] - cfg["qmin"]) / cfg["npoints"]
-        if _NYQUIST_SPREADS / (2.0 * width) > math.pi / dq:
+    if cfg["scenario"] == "bell_chsh":
+        if not analytic and cfg["trials"] < 2:
             raise _fail_usage(
-                f"config error at $.{key}: {cfg[key]!r} under-resolves the packet on this grid: "
-                f"the rule is {_NYQUIST_SPREADS}/(2*width) <= pi/dq (the Nyquist wavenumber), "
-                f"with width = {'sqrt(1/(2*omega))' if harmonic else 'sigma'} = {width:.6g} and "
-                f"dq = {dq:.6g}, so the width must be at least "
-                f"{_NYQUIST_SPREADS}*dq/(2*pi) = {_NYQUIST_SPREADS * dq / (2 * math.pi):.6g}"
+                f"config error at $.trials: {cfg['trials']} is too few; the Monte-Carlo "
+                "standard error needs a sample variance, so at least 2 trials per setting"
             )
+        with _config_rule("grid_step_count"):
+            inference._step_fraction(_chsh_step(cfg))
+    if on_grid:
+        _grid_setup(cfg)
     return cfg
+
+
+@contextlib.contextmanager
+def _config_rule(*keys: str):
+    """Exit 1 if the body breaks a rule of an engine, which raises a
+    ValueError or an ArithmeticError: a config error at the first of `keys`
+    that the engine's message names, else at the first key."""
+    try:
+        yield
+    except (ArithmeticError, ValueError) as err:
+        key = next((k for k in keys if k in str(err)), keys[0])
+        raise _fail_usage(f"config error at $.{key}: {err}") from None
 
 
 def _pi_fraction(theta: float):
@@ -491,27 +493,40 @@ def _montecarlo_eraser(cfg: dict, circ):
 
 
 def _grid_setup(cfg: dict):
-    grid = pilotwave.GridSpec.make((cfg["qmin"], cfg["qmax"], cfg["npoints"]))
-    scenario = cfg["scenario"]
-    if scenario == "free_packet":
-        profile = pilotwave.GaussianProfile(center=(0.0,), width=(cfg["sigma"],), momentum=(0.0,))
-        potential = pilotwave.free()
-    elif scenario == "double_slit":
-        half = cfg["separation"] / 2.0
-        profile = pilotwave.TwoGaussianProfile(
-            components=(
-                pilotwave.GaussianProfile(center=(-half,), width=(cfg["sigma"],), momentum=(0.0,)),
-                pilotwave.GaussianProfile(center=(half,), width=(cfg["sigma"],), momentum=(0.0,)),
-            ),
-            weights=(0.5, 0.5),
+    """A grid scenario's initial wave function and PhysicsParams, built and
+    checked by the engines' own rules, and its packet checked against the
+    grid's Nyquist wavenumber.  A config that breaks a rule exits 1 at a key
+    it names; `_merge_config` calls this before anything is written."""
+    with _config_rule("qmax", "npoints"):
+        grid = pilotwave.GridSpec.make((cfg["qmin"], cfg["qmax"], cfg["npoints"]))
+    # the packets' centers and width, the potential, and the keys that set
+    # the width and place the packets
+    if cfg["scenario"] == "harmonic":
+        centers, width = [cfg["x0"]], math.sqrt(1.0 / (2.0 * cfg["omega"]))
+        potential, width_key, place_key = pilotwave.harmonic(cfg["omega"]), "omega", "x0"
+    elif cfg["scenario"] == "double_slit":
+        centers, width = [-cfg["separation"] / 2.0, cfg["separation"] / 2.0], cfg["sigma"]
+        potential, width_key, place_key = pilotwave.free(), "sigma", "separation"
+    else:  # free_packet
+        centers, width = [0.0], cfg["sigma"]
+        potential, width_key, place_key = pilotwave.free(), "sigma", "sigma"
+    packets = [pilotwave.GaussianProfile(center=(c,), width=(width,), momentum=(0.0,)) for c in centers]
+    profile = packets[0] if len(packets) == 1 else pilotwave.TwoGaussianProfile(tuple(packets), (0.5, 0.5))
+
+    dq = grid.axes[0].dq
+    if _NYQUIST_SPREADS * dq > 2.0 * math.pi * width:
+        raise _fail_usage(
+            f"config error at $.{width_key}: {cfg[width_key]!r} under-resolves the packet on this grid: "
+            f"the rule is {_NYQUIST_SPREADS}/(2*width) <= pi/dq (the Nyquist wavenumber), "
+            f"with width = {'sqrt(1/(2*omega))' if width_key == 'omega' else 'sigma'} = {width:.6g} and "
+            f"dq = {dq:.6g}, so the width must be at least "
+            f"{_NYQUIST_SPREADS}*dq/(2*pi) = {_NYQUIST_SPREADS * dq / (2 * math.pi):.6g}"
         )
-        potential = pilotwave.free()
-    else:  # harmonic
-        width = math.sqrt(1.0 / (2.0 * cfg["omega"]))
-        profile = pilotwave.GaussianProfile(center=(cfg["x0"],), width=(width,), momentum=(0.0,))
-        potential = pilotwave.harmonic(cfg["omega"])
+    with _config_rule(place_key):
+        psi0 = pilotwave.init_wavefunction(grid, profile)
     params = pilotwave.PhysicsParams(masses=(1.0,), potential=potential)
-    psi0 = pilotwave.init_wavefunction(grid, profile)
+    with _config_rule("dt"):
+        pilotwave._check_dt(grid, params, potential.values(grid, params.masses), cfg["dt"])
     return psi0, params
 
 
@@ -630,8 +645,12 @@ def _run_repeatability(cfg: dict):
     ], True
 
 
+def _chsh_step(cfg: dict) -> float:
+    return (np.pi / 2) / cfg["grid_step_count"]
+
+
 def _run_bell(cfg: dict):
-    step = (np.pi / 2) / cfg["grid_step_count"]
+    step = _chsh_step(cfg)
     result = inference.chsh_optimize(step=step)
     models = inference.local_deterministic_models()
     local_max = max(inference.local_model_chsh_max(m, step=step) for m in models)
@@ -699,69 +718,28 @@ def _run_claims(cfg: dict):
 
 
 # ---------------------------------------------------------------------------
-# scenario registry: scenario -> (runner, defaults); what a runner returns is
-# described where emission begins, above `_write`
+# scenario registry: scenario -> (runner, defaults).  A scenario reads the
+# keys of its defaults and of _COMMON_DEFAULTS, and "out"; a config that sets
+# any other key is refused.  What a runner returns is described where
+# emission begins, above `_write`
 
 
 _SCENARIOS = {
-    "eraser": (
-        _run_eraser,
-        {
-            "mode": "analytic",
-            "trials": 100000,
-            "left": "interference",
-            "right": "interference",
-            "theta": None,
-            "right_acts_first": False,
-        },
-    ),
-    "double_slit": (
-        _run_grid_scenario,
-        {
-            "mode": "montecarlo",
-            "trials": 200,
-            "qmin": -16.0,
-            "qmax": 16.0,
-            "npoints": 512,
-            "dt": 0.0008,
-            "steps": 2500,
-            "save_every": 50,
-            "sigma": 0.7,
-            "separation": 6.0,
-        },
-    ),
-    "free_packet": (
-        _run_grid_scenario,
-        {
-            "mode": "montecarlo",
-            "trials": 10000,
-            "qmin": -24.0,
-            "qmax": 24.0,
-            "npoints": 512,
-            "dt": 0.001,
-            "steps": 2000,
-            "save_every": 100,
-            "sigma": 1.0,
-        },
-    ),
-    "harmonic": (
-        _run_grid_scenario,
-        {
-            "mode": "montecarlo",
-            "trials": 2000,
-            "qmin": -12.0,
-            "qmax": 12.0,
-            "npoints": 256,
-            "dt": 0.001,
-            "steps": 3142,
-            "save_every": 100,
-            "omega": 1.0,
-            "x0": 2.0,
-        },
-    ),
-    "repeatability": (_run_repeatability, {"mode": "montecarlo", "trials": 10000}),
-    "bell_chsh": (_run_bell, {"mode": "analytic", "trials": 100000, "grid_step_count": 16}),
-    "claims_suite": (_run_claims, {"mode": "montecarlo", "trials": 100000}),
+    "eraser": (_run_eraser, dict(
+        mode="analytic", trials=100000, left="interference", right="interference", theta=None,
+        right_acts_first=False)),
+    "double_slit": (_run_grid_scenario, dict(
+        mode="montecarlo", trials=200, qmin=-16.0, qmax=16.0, npoints=512, dt=0.0008, steps=2500,
+        save_every=50, sigma=0.7, separation=6.0)),
+    "free_packet": (_run_grid_scenario, dict(
+        mode="montecarlo", trials=10000, qmin=-24.0, qmax=24.0, npoints=512, dt=0.001, steps=2000,
+        save_every=100, sigma=1.0)),
+    "harmonic": (_run_grid_scenario, dict(
+        mode="montecarlo", trials=2000, qmin=-12.0, qmax=12.0, npoints=256, dt=0.001, steps=3142,
+        save_every=100, omega=1.0, x0=2.0)),
+    "repeatability": (_run_repeatability, dict(mode="montecarlo", trials=10000)),
+    "bell_chsh": (_run_bell, dict(mode="analytic", trials=100000, grid_step_count=16)),
+    "claims_suite": (_run_claims, dict(mode="montecarlo", trials=100000)),
 }
 
 

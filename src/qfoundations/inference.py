@@ -147,7 +147,8 @@ def _jsonable(value):
 
 def wilson_interval(k: int, n: int, z: float = Z99) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion.  At k = 0 the lower
-    bound is exactly 0: center and half are then equal, but can round apart."""
+    bound is exactly 0 and at k = n the upper bound exactly 1: center and
+    half are then equal, or sum to 1, but can round apart."""
     if n <= 0:
         raise ValueError("need at least one sample")
     p = k / n
@@ -155,7 +156,7 @@ def wilson_interval(k: int, n: int, z: float = Z99) -> tuple[float, float]:
     center = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
     lo = 0.0 if k == 0 else max(0.0, center - half)
-    return lo, min(1.0, center + half)
+    return lo, 1.0 if k == n else min(1.0, center + half)
 
 
 def _newcombe_diff_ci(ka: int, na: int, kb: int, nb: int, z: float = Z99) -> tuple[float, float]:
@@ -258,7 +259,8 @@ def local_causality_test(records, a_event: str, b_event: str) -> TestReport:
     `records` is either an exact joint outcome-pair probability table
     (analytic mode) or a Counter of runs per outcome pair (monte-carlo
     mode), taken under one initial state and seed.  A and B are outcome
-    names from opposite arms; conditioning on a zero-frequency B is an error.
+    names from opposite arms.  Conditioning on a zero-probability B is an
+    error; records in which B never occurred are no evidence, so inconclusive.
     """
     if not isinstance(records, Counter):
         _require_exact([records])
@@ -282,7 +284,8 @@ def local_causality_test(records, a_event: str, b_event: str) -> TestReport:
     nb = sum(k for pair, k in records.items() if b_event in pair)
     nab = sum(k for pair, k in records.items() if a_event in pair and b_event in pair)
     if nb == 0:
-        raise ValueError(f"conditioning event {b_event!r} never occurred")
+        details = {"a_event": a_event, "b_event": b_event, "n_b": 0, "margin": EQUIVALENCE_MARGIN}
+        return TestReport("local_causality", 0.0, 0.0, INCONCLUSIVE, n, MONTE_CARLO, details)
     p_a = na / n
     p_ab = nab / nb
     diff = p_ab - p_a
@@ -614,14 +617,22 @@ class CHSHResult:
     angles: tuple  # the same settings as `exact.pi_times` angles
 
 
+def _step_fraction(step: float):
+    """A CHSH grid step k*pi/q as the fraction k/q, with k > 0 and q <=
+    _MAX_STEP_DENOMINATOR, else a ValueError; a step within 1e-12 of zero
+    reads as 0*pi, which spans no grid."""
+    frac = ex.nearest_pi_fraction(step, max_denominator=_MAX_STEP_DENOMINATOR)
+    if not frac:
+        raise ValueError(f"grid step {step!r} is not k*pi/q for any q <= {_MAX_STEP_DENOMINATOR}")
+    return frac
+
+
 def chsh_optimize(step: float = np.pi / 32) -> CHSHResult:
     """Maximize S over the step-spaced angle grid on [0, pi/2], from one
     `correlator_table`, and recompute S at the winning settings in exact
     arithmetic.  `step` must be a rational multiple of pi.
     """
-    frac = ex.nearest_pi_fraction(step, max_denominator=_MAX_STEP_DENOMINATOR)
-    if frac is None:
-        raise ValueError(f"grid step {step!r} is not k*pi/q for any q <= {_MAX_STEP_DENOMINATOR}")
+    frac = _step_fraction(step)
     grid = np.arange(0.0, np.pi / 2 + step / 2, step)
     s = _chsh_table(correlator_table(grid, grid))
     idx = np.unravel_index(int(np.argmax(s)), s.shape)

@@ -66,6 +66,11 @@ MUTANTS = {
         "    lo = 0.0 if k == 0 else max(0.0, center - half)",
         "    lo = max(0.0, center - half)",
     ),
+    "wilson_full_fix_dropped": (
+        _INF,
+        "    return lo, 1.0 if k == n else min(1.0, center + half)",
+        "    return lo, min(1.0, center + half)",
+    ),
     "local_causality_interval_to_point": (
         _INF,
         "        verdict=_interval_verdict([ci]),",

@@ -457,9 +457,36 @@ def test_free_packet_scenario_small(tmp_path, capsys):
          "config error at $.omega: 5000.0 under-resolves the packet on this grid: "
          "the rule is 5/(2*width) <= pi/dq (the Nyquist wavenumber), "
          "with width = sqrt(1/(2*omega)) = 0.01"),
+        # a key that the scenario never reads
+        (["eraser", "--sigma", "5"], "('sigma' was unexpected)"),
+        (["eraser", "--mode", "montecarlo", "--trials", "10", "--dt", "7"], "('dt' was unexpected)"),
+        (["repeatability", "--theta", "0.3"], "('theta' was unexpected)"),
+        (["bell_chsh", "--npoints", "99"], "('npoints' was unexpected)"),
+        (["claims_suite", "--left", "whichpath"], "('left' was unexpected)"),
+        (["free_packet", "--x0", "1000"], "('x0' was unexpected)"),
+        # a value that an engine's own rule refuses
+        (["free_packet", "--dt", "1"], "config error at $.dt: dt = 1.0 exceeds the kinetic stability bound"),
+        (["harmonic", "--dt", "0.002"], "config error at $.dt: dt = 0.002 exceeds the potential stability bound"),
+        (["free_packet", "--npoints", "100"], "config error at $.npoints: npoints must be a power of two"),
+        (["free_packet", "--qmin", "5", "--qmax", "-5"], "config error at $.qmax: axis needs qmax > qmin"),
+        (["double_slit", "--separation", "1000"], "config error at $.separation: profile leaks"),
+        (["harmonic", "--x0", "11"], "config error at $.x0: profile leaks"),
+        (["free_packet", "--sigma", "1e300"], "config error at $.sigma: profile leaks"),
+        (["double_slit", "--npoints", "4096"], "config error at $.dt: dt = 0.0008 exceeds the kinetic"),
+        (["bell_chsh", "--grid-step-count", "100000"],
+         "config error at $.grid_step_count: grid step 1.5707963267948964e-05 is not k*pi/q"),
+        # a step within 1e-12 of zero is 0*pi, which spans no grid
+        (["bell_chsh", "--grid-step-count", "10000000000000"], "config error at $.grid_step_count"),
+        # omega**2 overflows, so no dt meets the potential's stability bound
+        (["harmonic", "--omega", "1e200", "--qmin=-1e-99", "--qmax", "1e-99", "--x0", "0",
+          "--npoints", "64"], "config error at $.dt: (34, 'Numerical result out of range')"),
     ],
     ids=["analytic_theta", "montecarlo_chsh_trials", "analytic_grid", "free_packet_sigma",
-         "double_slit_sigma", "harmonic_omega"],
+         "double_slit_sigma", "harmonic_omega", "eraser_sigma", "eraser_montecarlo_dt",
+         "repeatability_theta", "bell_chsh_npoints", "claims_suite_left", "free_packet_x0",
+         "free_packet_dt", "harmonic_dt", "free_packet_npoints", "free_packet_qmax_below_qmin",
+         "double_slit_separation", "harmonic_x0", "free_packet_wide_sigma", "double_slit_npoints",
+         "bell_chsh_grid_step_count", "bell_chsh_zero_step", "harmonic_potential_overflow"],
 )
 def test_refused_run_writes_no_output_directory(tmp_path, capsys, argv, message):
     out = tmp_path / "refused"
@@ -487,12 +514,15 @@ def test_grid_scenario_rejects_analytic_mode(tmp_path, capsys):
     assert "no analytic mode" in capsys.readouterr().err
 
 
-def test_unstable_dt_exits_two(tmp_path, capsys):
+def test_unstable_dt_exits_one(tmp_path, capsys):
+    # the engine's own stability rule, applied to the config before the run
     code = main(["run", "free_packet", "--out", str(tmp_path / "x"),
                  "--trials", "10", "--dt", "1.0", "--steps", "5"])
-    assert code == 2
+    assert code == 1
     err = capsys.readouterr().err
-    assert "runtime failure" in err and "ValueError" in err
+    assert "config error at $.dt: dt = 1.0 exceeds the kinetic stability bound" in err
+    assert "runtime failure" not in err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("flag", ["--dt", "--sigma"])
@@ -636,6 +666,18 @@ def test_config_key_no_scenario_reads_is_refused(tmp_path, capsys):
     assert not (tmp_path / "rep").exists()
 
 
+def test_integral_float_for_an_integer_key_runs_as_an_int(tmp_path, capsys):
+    # JSON Schema counts 256.0 an integer; GridAxis once raised TypeError on it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"npoints": 256.0, "trials": 10.0, "steps": 4.0, "save_every": 2.0}))
+    out = tmp_path / "fp"
+    assert main(["run", "free_packet", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert [config[k] for k in ("npoints", "trials", "steps", "save_every")] == [256, 10, 4, 2]
+    assert all(type(config[k]) is int for k in ("npoints", "trials", "steps", "save_every"))
+
+
 def test_config_malformed_json(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{\"trials\": }")
@@ -713,3 +755,16 @@ def test_claims_suite_starved_trials_exits_three(tmp_path, capsys):
         if c["report"]["mode"] == "monte-carlo" and c["report"]["n"] <= 4:
             assert c["report"]["verdict"] == "inconclusive"
     assert (out / "manifest.json").exists()
+
+
+def test_claims_suite_whose_conditioning_event_never_occurs_exits_three(tmp_path, capsys):
+    # one run at seed 7 never shows L1, so the Monte-Carlo local-causality
+    # claim has no evidence: inconclusive, not a runtime failure
+    out = tmp_path / "claims"
+    assert main(["run", "claims_suite", "--out", str(out), "--trials", "1"]) == 3
+    assert "runtime failure" not in capsys.readouterr().err
+    payload = _validate(out / "claims_suite.json", "claims_suite")
+    (report,) = [c["report"] for c in payload["claims"]
+                 if c["report"]["test"] == "local_causality" and c["report"]["mode"] == "monte-carlo"]
+    assert report["details"]["n_b"] == 0
+    assert report["verdict"] == "inconclusive" and report["statistic"] == 0.0

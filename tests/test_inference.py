@@ -81,6 +81,9 @@ def test_wilson_interval_edges_and_validation():
     # center and half-width are equal at k = 0 but can round apart (by
     # 2.8e-17 at n = 13); the lower bound must still be exactly zero
     assert all(inference.wilson_interval(0, n)[0] == 0.0 for n in range(1, 200_001))
+    # and at k = n the upper bound is exactly one (it rounded to 1 - 2**-53
+    # at n = 7, 12, 13, ...)
+    assert all(inference.wilson_interval(n, n)[1] == 1.0 for n in range(1, 200_001))
     lo, hi = inference.wilson_interval(50, 50)
     assert hi == 1.0 and lo > 0.7
     with pytest.raises(ValueError):
@@ -158,8 +161,10 @@ def test_local_causality_monte_carlo_ladder():
     tiny = inference.local_causality_test(Counter(pairs[:4]), "L1", "R1")
     assert tiny.verdict == inference.INCONCLUSIVE
 
-    with pytest.raises(ValueError, match="never occurred"):
-        inference.local_causality_test(Counter(pairs), "L1", "R3")
+    # runs in which the conditioning event never occurred are no evidence
+    none = inference.local_causality_test(Counter(pairs), "L1", "R3")
+    assert none.verdict == inference.INCONCLUSIVE
+    assert none.statistic == 0.0 and none.n == 1000 and none.details["n_b"] == 0
 
 
 def test_mwi_joint_distribution_agrees_with_copenhagen():

@@ -11,14 +11,16 @@ import contextlib
 import io
 import json
 import operator
+import os
 import re
+import tempfile
 
 import jsonschema
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qfoundations import cli, schemas
+from qfoundations import cli, pilotwave, schemas
 
 # the schema of each JSON file a run writes, by file name
 _ARTIFACT_SCHEMAS = {
@@ -129,6 +131,35 @@ def test_config_errors_match_jsonschema(cfg):
     assert _ours(schemas.SCENARIO_CONFIG, cfg) == _oracle(schemas.SCENARIO_CONFIG, cfg)
 
 
+# numpy warns of overflow on extreme grids; the exit code is what is checked
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=400, deadline=None)
+@given(configs())
+def test_every_config_is_refused_with_a_path_or_accepted_for_good(cfg):
+    """No config-decidable failure reaches the run: `_merge_config` returns
+    or exits 1 at a config path, and a grid config it accepts passes the
+    engines' setup and stability rules, checked here without a run."""
+    scenario = cfg.pop("scenario", None)
+    if not (isinstance(scenario, str) and scenario in cli._SCENARIOS):
+        scenario = "eraser"
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        args = cli._build_parser().parse_args(["run", scenario, "--config", path])
+        try:
+            with contextlib.redirect_stderr(err):
+                merged = cli._merge_config(args)
+        except SystemExit as refused:
+            assert refused.code == 1 and "config error at $" in err.getvalue(), err.getvalue()
+            return
+    if cli._SCENARIOS[scenario][0] is cli._run_grid_scenario:
+        psi0, params = cli._grid_setup(merged)
+        vgrid = params.potential.values(psi0.grid, params.masses)
+        pilotwave._check_dt(psi0.grid, params, vgrid, merged["dt"])
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from(_NEAR_EQUAL), max_size=4))
 @example([[1], [True], [1]])
@@ -142,6 +173,8 @@ def test_defaults_of_every_scenario_are_valid():
     for scenario, (_, defaults) in cli._SCENARIOS.items():
         cfg = {**cli._COMMON_DEFAULTS, **defaults, "scenario": scenario, "out": "out"}
         assert list(schemas.errors(schemas.SCENARIO_CONFIG, cfg)) == [], scenario
+        # mode and trials are common keys: every scenario reads them
+        assert {"mode", "trials"} <= defaults.keys(), scenario
 
 
 def test_errors_within_one_path_keep_keyword_order():
