@@ -193,14 +193,11 @@ def _merge_config(args) -> dict:
                 f"{_MAX_THETA_DENOMINATOR} (within 1e-12), which analytic mode needs; "
                 "use --mode montecarlo for other angles"
             )
-    if cfg["scenario"] == "bell_chsh":
-        if not analytic and cfg["trials"] < 2:
-            raise _fail_usage(
-                f"config error at $.trials: {cfg['trials']} is too few; the Monte-Carlo "
-                "standard error needs a sample variance, so at least 2 trials per setting"
-            )
-        with _config_rule("grid_step_count"):
-            inference._step_fraction(_chsh_step(cfg))
+    if cfg["scenario"] == "bell_chsh" and not analytic and cfg["trials"] < 2:
+        raise _fail_usage(
+            f"config error at $.trials: {cfg['trials']} is too few; the Monte-Carlo "
+            "standard error needs a sample variance, so at least 2 trials per setting"
+        )
     if on_grid:
         _grid_setup(cfg)
     return cfg
@@ -525,8 +522,12 @@ def _grid_setup(cfg: dict):
     with _config_rule(place_key):
         psi0 = pilotwave.init_wavefunction(grid, profile)
     params = pilotwave.PhysicsParams(masses=(1.0,), potential=potential)
+    try:
+        values = potential.values(grid, params.masses)
+    except OverflowError:
+        raise _fail_usage(f"config error at $.omega: omega**2 overflows a double at omega = {cfg['omega']}") from None
     with _config_rule("dt"):
-        pilotwave._check_dt(grid, params, potential.values(grid, params.masses), cfg["dt"])
+        pilotwave._check_dt(grid, params, values, cfg["dt"])
     return psi0, params
 
 
@@ -645,12 +646,8 @@ def _run_repeatability(cfg: dict):
     ], True
 
 
-def _chsh_step(cfg: dict) -> float:
-    return (np.pi / 2) / cfg["grid_step_count"]
-
-
 def _run_bell(cfg: dict):
-    step = _chsh_step(cfg)
+    step = (np.pi / 2) / cfg["grid_step_count"]
     result = inference.chsh_optimize(step=step)
     models = inference.local_deterministic_models()
     local_max = max(inference.local_model_chsh_max(m, step=step) for m in models)

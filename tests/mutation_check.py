@@ -61,16 +61,6 @@ MUTANTS = {
         "        verdict=VIOLATED if statistic != 0 else SATISFIED,",
         "        verdict=VIOLATED if statistic == 0 else SATISFIED,",
     ),
-    "wilson_zero_fix_dropped": (
-        _INF,
-        "    lo = 0.0 if k == 0 else max(0.0, center - half)",
-        "    lo = max(0.0, center - half)",
-    ),
-    "wilson_full_fix_dropped": (
-        _INF,
-        "    return lo, 1.0 if k == n else min(1.0, center + half)",
-        "    return lo, min(1.0, center + half)",
-    ),
     "local_causality_interval_to_point": (
         _INF,
         "        verdict=_interval_verdict([ci]),",
@@ -78,43 +68,28 @@ MUTANTS = {
     ),
     "independence_interval_halved": (
         _INF,
-        "_interval_verdict([(stat - allowance, stat + allowance)])",
-        "_interval_verdict([(stat - allowance / 2, stat + allowance / 2)])",
+        "_interval_verdict([(tv - a, tv + a) for tv, a in zip(tvs, allowances)])",
+        "_interval_verdict([(tv - a / 2, tv + a / 2) for tv, a in zip(tvs, allowances)])",
     ),
-    "no_signaling_interval_halved": (
+    "hoeffding_half_width_halved": (
         _INF,
-        "            intervals.append(_newcombe_diff_ci(ki, ni, kj, nj))",
-        "            intervals.append(_newcombe_diff_ci(ki, ni, kj, nj, Z99 / 2))",
+        "    return math.sqrt(math.log(events / ALPHA) * sum(1.0 / n for n in sizes) / 2.0)",
+        "    return math.sqrt(math.log(events / ALPHA) * sum(1.0 / n for n in sizes) / 8.0)",
     ),
-    "repeatability_interval_halved": (
+    "weissman_log_term_dropped": (
         _INF,
-        "    lo, hi = wilson_interval(differ, n)",
-        "    lo, hi = wilson_interval(differ, n, Z99 / 2)",
+        "len(pairs) * max(2, 2**support - 2)",
+        "len(pairs) * 2",
     ),
-    "setting_dependence_interval_halved": (
+    "alpha_split_over_four_claims": (
         _INF,
-        "    lo, hi = wilson_interval(k, n)",
-        "    lo, hi = wilson_interval(k, n, Z99 / 2)",
+        "ALPHA = 1e-3 / 8",
+        "ALPHA = 1e-3 / 4",
     ),
-    "independence_allowance_tenth": (
+    "correlation_impossible_cell_sampled": (
         _INF,
-        "    allowance = 0.5 * Z99 *",
-        "    allowance = 0.05 * Z99 *",
-    ),
-    "branch_collapse_or": (
-        _INF,
-        "    ok = max_weight_dev <= 1e-12 and max_z <= z_threshold",
-        "    ok = max_weight_dev <= 1e-12 or max_z <= z_threshold",
-    ),
-    "correlation_threshold_tenfold": (
-        _INF,
-        "        verdict=SATISFIED if max_z <= 3.0 else VIOLATED,",
-        "        verdict=SATISFIED if max_z <= 30 else VIOLATED,",
-    ),
-    "correlation_impossible_cell_ignored": (
-        _INF,
-        "            if abs(f - p) > 0.0:\n                max_z = math.inf",
-        "            if abs(f - p) > 0.5:\n                max_z = math.inf",
+        "(d - half, d + half) if 0.0 < p < 1.0 else (d, d)",
+        "(d - half, d + half)",
     ),
     "chsh_local_bound_strict": (
         _INF,

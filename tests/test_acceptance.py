@@ -96,8 +96,8 @@ def test_criterion_04_branch_collapse_equivalence():
     assert rep.details["pairs"] == 50
     assert max(rep.details["dimensions"]) <= 8
     assert rep.details["max_weight_deviation"] <= 1e-12
-    assert rep.statistic <= 3.0
-    assert rep.details["beyond_three_sigma"] == 0
+    # every frequency within three standard errors of the widest binomial
+    assert rep.statistic <= 3.0 * math.sqrt(0.25 / rep.n)
     assert rep.verdict == inference.SATISFIED
     _done(4, "branch weights = Born, collapse frequencies within 3 sigma")
 

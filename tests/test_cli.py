@@ -473,20 +473,21 @@ def test_free_packet_scenario_small(tmp_path, capsys):
         (["harmonic", "--x0", "11"], "config error at $.x0: profile leaks"),
         (["free_packet", "--sigma", "1e300"], "config error at $.sigma: profile leaks"),
         (["double_slit", "--npoints", "4096"], "config error at $.dt: dt = 0.0008 exceeds the kinetic"),
+        # the CHSH table of more steps would not fit in 100 MB
+        (["bell_chsh", "--grid-step-count", "45"], "config error at $.grid_step_count: 45 is greater than"),
         (["bell_chsh", "--grid-step-count", "100000"],
-         "config error at $.grid_step_count: grid step 1.5707963267948964e-05 is not k*pi/q"),
-        # a step within 1e-12 of zero is 0*pi, which spans no grid
+         "config error at $.grid_step_count: 100000 is greater than the maximum of 44"),
         (["bell_chsh", "--grid-step-count", "10000000000000"], "config error at $.grid_step_count"),
-        # omega**2 overflows, so no dt meets the potential's stability bound
         (["harmonic", "--omega", "1e200", "--qmin=-1e-99", "--qmax", "1e-99", "--x0", "0",
-          "--npoints", "64"], "config error at $.dt: (34, 'Numerical result out of range')"),
+          "--npoints", "64"], "config error at $.omega: omega**2 overflows a double at omega = 1e+200"),
     ],
     ids=["analytic_theta", "montecarlo_chsh_trials", "analytic_grid", "free_packet_sigma",
          "double_slit_sigma", "harmonic_omega", "eraser_sigma", "eraser_montecarlo_dt",
          "repeatability_theta", "bell_chsh_npoints", "claims_suite_left", "free_packet_x0",
          "free_packet_dt", "harmonic_dt", "free_packet_npoints", "free_packet_qmax_below_qmin",
          "double_slit_separation", "harmonic_x0", "free_packet_wide_sigma", "double_slit_npoints",
-         "bell_chsh_grid_step_count", "bell_chsh_zero_step", "harmonic_potential_overflow"],
+         "bell_chsh_above_maximum", "bell_chsh_grid_step_count", "bell_chsh_zero_step",
+         "harmonic_potential_overflow"],
 )
 def test_refused_run_writes_no_output_directory(tmp_path, capsys, argv, message):
     out = tmp_path / "refused"
@@ -550,7 +551,8 @@ def test_non_finite_number_in_config_file_exits_one(tmp_path, capsys):
 
 def test_repeatability_scenario(tmp_path, capsys):
     out = tmp_path / "rep"
-    code = main(["run", "repeatability", "--out", str(out), "--trials", "500"])
+    # zero flips bless repeatability from 1937 trials on
+    code = main(["run", "repeatability", "--out", str(out), "--trials", "2000"])
     assert code == 0
     capsys.readouterr()
     with_c = _validate(out / "repeatability_with_collapse.json", "test_report")

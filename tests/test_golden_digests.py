@@ -5,7 +5,7 @@ a refactor that changes any emitted byte fail loudly.  `manifest.json` is
 left out because it records the output directory.  No scenario runs a 2D
 grid, so `grid_2d` pins the positions and snapshots of a small 2D
 `integrate_trajectories` run directly.  Every pin runs with
-sympy and scipy made unimportable: both are test-only oracles, never a
+sympy and scipy made unimportable: both are test-only packages, never a
 runtime need.
 
 The digests hold for the numpy version recorded in `generated_with`; FFT

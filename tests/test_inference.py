@@ -61,33 +61,31 @@ def test_report_serialization_handles_exact_details():
     assert data["verdict"] == "violated"
 
 
-def test_wilson_interval_matches_quadratic_roots():
-    # the Wilson bounds are the roots of (p - phat)^2 = z^2 p(1-p)/n;
-    # solve that quadratic directly as an independent route
-    k, n, z = 83, 250, inference.Z99
-    phat = k / n
-    a = 1.0 + z * z / n
-    b = -(2.0 * phat + z * z / n)
-    c = phat * phat
-    roots = sorted(np.roots([a, b, c]).real)
-    lo, hi = inference.wilson_interval(k, n, z)
-    assert abs(lo - roots[0]) < 1e-12 and abs(hi - roots[1]) < 1e-12
-    assert lo < phat < hi
+def _binomial_pmf(k, n, p):
+    return math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
 
 
-def test_wilson_interval_edges_and_validation():
-    lo, hi = inference.wilson_interval(0, 50)
-    assert lo == 0.0 and 0.0 < hi < 0.3
-    # center and half-width are equal at k = 0 but can round apart (by
-    # 2.8e-17 at n = 13); the lower bound must still be exactly zero
-    assert all(inference.wilson_interval(0, n)[0] == 0.0 for n in range(1, 200_001))
-    # and at k = n the upper bound is exactly one (it rounded to 1 - 2**-53
-    # at n = 7, 12, 13, ...)
-    assert all(inference.wilson_interval(n, n)[1] == 1.0 for n in range(1, 200_001))
-    lo, hi = inference.wilson_interval(50, 50)
-    assert hi == 1.0 and lo > 0.7
-    with pytest.raises(ValueError):
-        inference.wilson_interval(1, 0)
+@settings(deadline=None)
+@given(st.integers(1, 60), st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.5, 1.0]))
+def test_rate_interval_misses_its_rate_with_probability_at_most_alpha(n, p):
+    intervals = [inference._rate_interval(k, n) for k in range(n + 1)]
+    # the exact binomial probability of the counts whose interval leaves out p
+    miss = sum(_binomial_pmf(k, n, p) for k, (lo, hi) in enumerate(intervals) if not lo <= p <= hi)
+    assert miss <= inference.ALPHA
+    assert intervals[0][0] == 0.0 and intervals[n][1] == 1.0
+
+
+@settings(deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_difference_half_width_misses_with_probability_at_most_alpha(na, nb, pa, pb):
+    half = inference._half_width((na, nb), 2)
+    miss = sum(
+        _binomial_pmf(ka, na, pa) * _binomial_pmf(kb, nb, pb)
+        for ka in range(na + 1)
+        for kb in range(nb + 1)
+        if abs(ka / na - kb / nb - (pa - pb)) > half
+    )
+    assert miss <= inference.ALPHA
 
 
 def test_total_variation_exact_and_float():
@@ -504,44 +502,28 @@ def test_branch_collapse_equivalence_default_seed():
     assert rep.verdict == inference.SATISFIED
     assert rep.details["max_weight_deviation"] == 0.0
     assert rep.details["comparisons"] > 100
-    # family-level threshold sits above the per-comparison 3-sigma line
-    assert 3.0 < rep.threshold < 4.5
-    assert rep.statistic <= rep.threshold
+    # the family's half-width grows with the number of comparisons
+    assert rep.details["half_width"] == inference._half_width((100_000,), 2 * rep.details["comparisons"])
+    assert rep.statistic + rep.details["half_width"] < inference.EQUIVALENCE_MARGIN
 
 
 def test_branch_collapse_equivalence_fixed_seed_within_three_sigma():
     rep = inference.branch_collapse_equivalence(seed=7)
     assert rep.verdict == inference.SATISFIED
-    assert rep.statistic <= 3.0
-    assert rep.details["beyond_three_sigma"] == 0
+    # every frequency within three standard errors of the widest binomial
+    assert rep.statistic <= 3.0 * math.sqrt(0.25 / rep.n)
     assert min(rep.details["dimensions"]) >= 2
     assert max(rep.details["dimensions"]) <= 8
 
 
-@settings(deadline=None)
-@given(
-    st.lists(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=8)
-    .filter(lambda w: sum(w) > 0.0),
-    st.integers(0, 2**32 - 1),
-)
-def test_draw_counts_match_searchsorted_reference(weights, seed):
-    cum = np.cumsum(np.array(weights) / sum(weights))
-    cum[-1] = 1.0
-    # ties with every cumulative edge, 0.0 and the largest double below 1.0
-    u = np.concatenate([np.random.default_rng(seed).random(500), cum, [0.0, np.nextafter(1.0, 0.0)]])
-    u = u[u < 1.0]
-    reference = np.bincount(np.searchsorted(cum, u, side="right"), minlength=len(cum))
-    np.testing.assert_array_equal(inference._draw_counts(cum, u), reference)
-
-
-def test_branch_collapse_equivalence_threshold_override():
-    rep = inference.branch_collapse_equivalence(
-        n_pairs=5, n_samples=2000, seed=3, z_threshold=6.0)
-    assert rep.threshold == 6.0
-    assert rep.verdict == inference.SATISFIED
-    # exact branch weights do not excuse frequencies beyond the threshold
-    below = inference.branch_collapse_equivalence(
-        n_pairs=5, n_samples=2000, seed=3, z_threshold=rep.statistic / 2)
+def test_branch_collapse_equivalence_decided_by_its_intervals(monkeypatch):
+    # 2000 samples are too few to bless anything at this error rate
+    rep = inference.branch_collapse_equivalence(n_pairs=5, n_samples=2000, seed=3)
+    assert rep.details["half_width"] > inference.EQUIVALENCE_MARGIN
+    assert rep.verdict == inference.INCONCLUSIVE
+    # exact branch weights do not excuse frequencies outside their intervals
+    monkeypatch.setattr(inference, "_half_width", lambda sizes, events: rep.statistic / 2)
+    below = inference.branch_collapse_equivalence(n_pairs=5, n_samples=2000, seed=3)
     assert below.details["max_weight_deviation"] == 0.0
     assert below.verdict == inference.VIOLATED
 
@@ -567,6 +549,13 @@ def test_one_claim_runs_alone():
         report = test(evidence)
         assert report.mode == mode
         assert report.verdict == expected
+
+
+def test_alpha_splits_the_suite_budget_over_the_monte_carlo_claims():
+    evidence = inference.claim_evidence(seed=3, trials=2000)
+    monte_carlo = sum(test(evidence).mode == inference.MONTE_CARLO for _, _, test in inference.CLAIMS)
+    assert monte_carlo == 8
+    assert monte_carlo * inference.ALPHA <= 1e-3
 
 
 def test_claim_evidence_refuses_zero_trials():
@@ -627,7 +616,7 @@ def test_local_causality_monte_carlo_difference_inside_its_interval_is_inconclus
 
 def test_no_signaling_monte_carlo_shift_inside_its_interval_is_satisfied():
     # marginals 0.5075 and 0.4925 over 10 000 runs each: the 0.015 shift lies
-    # inside its 99% interval, and every interval inside the margin
+    # inside its interval, and every interval inside the margin
     a = Counter({("L1", "R1"): 5075, ("L2", "R1"): 4925})
     b = Counter({("L1", "R1"): 4925, ("L2", "R1"): 5075})
     report = inference.no_signaling_test({"a": a, "b": b})
@@ -636,10 +625,10 @@ def test_no_signaling_monte_carlo_shift_inside_its_interval_is_satisfied():
     assert report.verdict == inference.SATISFIED
 
 
-# zero changes or flips bless the null only when the Wilson upper bound
-# z^2 / (n + z^2) is inside the margin, from n = 127 on
+# zero changes or flips bless the null only when the upper bound
+# sqrt(log(2 / ALPHA) / (2 n)) is inside the margin, from n = 1937 on
 @pytest.mark.parametrize("n, verdict", [(13, inference.INCONCLUSIVE), (126, inference.INCONCLUSIVE),
-                                        (127, inference.SATISFIED)])
+                                        (1936, inference.INCONCLUSIVE), (1937, inference.SATISFIED)])
 def test_repeatability_with_collapse_blesses_zero_flips_only_with_power(n, verdict):
     report = inference.repeatability_test(n, collapse=True)
     assert report.details["differing"] == 0
@@ -647,7 +636,8 @@ def test_repeatability_with_collapse_blesses_zero_flips_only_with_power(n, verdi
     assert report.verdict == verdict
 
 
-@pytest.mark.parametrize("n, verdict", [(126, inference.INCONCLUSIVE), (127, inference.SATISFIED)])
+@pytest.mark.parametrize("n, verdict", [(126, inference.INCONCLUSIVE), (1936, inference.INCONCLUSIVE),
+                                        (1937, inference.SATISFIED)])
 def test_setting_dependence_blesses_zero_changes_only_with_power(n, verdict):
     # with the left arm acting first, its record cannot depend on the right setting
     report = inference.trajectory_setting_dependence(n, seed=0, right_acts_first=False)
@@ -664,29 +654,31 @@ def test_setting_dependence_blesses_zero_changes_only_with_power(n, verdict):
     ],
 )
 def test_setting_dependence_is_violated_only_when_the_lower_bound_clears_zero(monkeypatch, bounds, verdict):
-    monkeypatch.setattr(inference, "wilson_interval", lambda k, n, *args: bounds)
+    monkeypatch.setattr(inference, "_rate_interval", lambda k, n: bounds)
     report = inference.trajectory_setting_dependence(50, seed=1)
     assert report.statistic > 0
     assert report.verdict == verdict
 
 
-@pytest.mark.parametrize("seed, changed, verdict", [(0, 0, inference.INCONCLUSIVE), (1, 1, inference.VIOLATED)])
+@pytest.mark.parametrize("seed, changed, verdict", [(0, 0, inference.INCONCLUSIVE), (1, 1, inference.INCONCLUSIVE)])
 def test_setting_dependence_of_one_run(seed, changed, verdict):
-    # one changed run in one clears zero (Wilson lower bound 0.13); no change
-    # in one run is too little evidence to bless (upper bound 0.87)
+    # one run, changed or not, is too little evidence for any verdict: its
+    # interval is all of [0, 1]
     report = inference.trajectory_setting_dependence(1, seed=seed)
     assert report.statistic == changed
     assert report.verdict == verdict
 
 
-@pytest.mark.parametrize("n, verdict", [(5300, inference.INCONCLUSIVE), (5320, inference.SATISFIED)])
-def test_measurement_independence_blesses_only_an_allowance_inside_the_margin(n, verdict):
-    # identical record laws over K = 2 records: the allowance Z99 * sqrt(2 / n)
-    # crosses the 0.05 margin between n = 5300 and n = 5320
-    counts = Counter({("a",): n // 2, ("b",): n // 2})
+@pytest.mark.parametrize("records, n, verdict", [(2, 3872, inference.INCONCLUSIVE), (2, 3874, inference.SATISFIED),
+                                                 (8, 5808, inference.INCONCLUSIVE), (8, 5816, inference.SATISFIED)])
+def test_measurement_independence_blesses_only_an_allowance_inside_the_margin(records, n, verdict):
+    # identical record laws over K records: the allowance
+    # sqrt(log((2**K - 2) / ALPHA) * (2 / n) / 2) crosses the 0.05 margin
+    # between the two sizes of each K
+    counts = Counter({(chr(ord("a") + i),): n // records for i in range(records)})
     report = inference.measurement_independence_test({"s1": counts, "s2": counts})
     assert report.statistic == 0.0
-    assert (report.details["allowance"] < inference.EQUIVALENCE_MARGIN) == (n == 5320)
+    assert (report.details["allowance"] < inference.EQUIVALENCE_MARGIN) == (verdict == inference.SATISFIED)
     assert report.verdict == verdict
 
 
@@ -699,20 +691,22 @@ def _agreement_evidence(k, n):
     )
 
 
-@pytest.mark.parametrize("k, verdict", [(5149, inference.SATISFIED), (5151, inference.VIOLATED),
-                                        (4849, inference.VIOLATED), (5000, inference.SATISFIED)])
-def test_correlation_agreement_at_three_standard_errors(k, verdict):
-    # z = |k - 5000| / 50 at n = 10 000: 2.98 and 3.02 around the 3.0 threshold
+@pytest.mark.parametrize("k, verdict", [(5227, inference.SATISFIED), (5228, inference.VIOLATED),
+                                        (4772, inference.VIOLATED), (5000, inference.SATISFIED)])
+def test_correlation_agreement_at_its_half_width(k, verdict):
+    # |k / n - 0.5| at n = 10 000 against the half-width of two intervals,
+    # sqrt(log(4 / ALPHA) / (2 n)) = 0.02277
     report = inference._correlation_agreement(_agreement_evidence(k, 10000))
-    assert report.threshold == 3.0
+    assert 0.02277 < report.details["half_width"] < 0.02278
     assert report.verdict == verdict
 
 
 def test_correlation_agreement_refuses_a_pair_the_born_table_forbids():
-    # one run in 10 000 at a probability-zero pair is an infinite z-score
+    # one run in 10 000 at a probability-zero pair is a violation, however
+    # small its frequency
     ev = _agreement_evidence(4999, 9999)
     ev.counts[inference._II][("L1", "R2")] = 1
     ev.tables[inference._II][("L1", "R2")] = 0.0
     report = inference._correlation_agreement(ev)
-    assert report.statistic == math.inf
+    assert report.statistic < 1e-3
     assert report.verdict == inference.VIOLATED
