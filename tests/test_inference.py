@@ -88,6 +88,31 @@ def test_difference_half_width_misses_with_probability_at_most_alpha(na, nb, pa,
     assert miss <= inference.ALPHA
 
 
+@pytest.mark.parametrize("sizes, events", [((1,), 2), ((100_000,), 250), ((3872, 3872), 2), ((10, 1000), 8)])
+def test_half_width_puts_the_union_of_its_misses_at_alpha(sizes, events):
+    # Hoeffding: each one-sided miss by t has probability at most
+    # exp(-2 t**2 / sum(1 / n)), and the union of `events` of them is ALPHA
+    t = inference._half_width(sizes, events)
+    bound = events * math.exp(-2.0 * t**2 / sum(1.0 / n for n in sizes))
+    assert bound == pytest.approx(inference.ALPHA, rel=1e-12)
+
+
+@given(st.integers(1, 10**6), st.integers(1, 10**6), st.integers(1, 10**4))
+def test_half_width_shrinks_with_samples_and_grows_with_events(n, more, events):
+    half = inference._half_width((n,), events)
+    assert inference._half_width((n + more,), events) < half
+    assert inference._half_width((n,), events + 1) > half
+    # a second, independent sample only adds noise to the difference
+    assert inference._half_width((n, more), events) > half
+
+
+@pytest.mark.parametrize("n", [1, 2, 1937, 200_000])
+def test_rate_interval_edges_are_exact(n):
+    half = inference._half_width((n,), 2)
+    assert inference._rate_interval(0, n) == (0.0, min(1.0, half))
+    assert inference._rate_interval(n, n) == (max(0.0, 1.0 - half), 1.0)
+
+
 def test_total_variation_exact_and_float():
     q = exact.Cyclotomic.rational
     a = {"x": q(Fraction(1, 2)), "y": q(Fraction(1, 2))}
@@ -528,6 +553,17 @@ def test_branch_collapse_equivalence_decided_by_its_intervals(monkeypatch):
     assert below.verdict == inference.VIOLATED
 
 
+def test_branch_collapse_equivalence_is_reproducible_by_seed():
+    # each pair draws from its own substream, keyed by the seed and the
+    # stream base, so a run repeats exactly and a new key draws anew
+    run = dict(n_pairs=5, n_samples=2000)
+    first = inference.branch_collapse_equivalence(seed=3, **run).to_dict()
+    assert inference.branch_collapse_equivalence(seed=3, **run).to_dict() == first
+    assert inference.branch_collapse_equivalence(seed=4, **run).statistic != first["statistic"]
+    shifted = inference.branch_collapse_equivalence(seed=3, stream_base=5, **run)
+    assert shifted.statistic != first["statistic"]
+
+
 # ---------------------------------------------------------------------------
 # the claims table
 
@@ -611,6 +647,18 @@ def test_local_causality_monte_carlo_difference_inside_its_interval_is_inconclus
     report = inference.local_causality_test(records, "R1", "L1")
     assert report.statistic > 0.09
     assert report.details["ci_low"] < 0.0 < report.details["ci_high"]
+    assert report.verdict == inference.INCONCLUSIVE
+
+
+def test_local_causality_monte_carlo_interval_is_the_union_of_two_one_sample_bounds():
+    # P(R1 | L1) is read from the L1 runs alone, which P(R1) shares: each
+    # frequency gets its own two-sided bound, four one-sided misses in all
+    records = Counter({("L1", "R1"): 2600, ("L1", "R2"): 2400, ("L2", "R1"): 2400, ("L2", "R2"): 2600})
+    report = inference.local_causality_test(records, "R1", "L1")
+    half = inference._half_width((10_000,), 4) + inference._half_width((5000,), 4)
+    assert report.details["n_b"] == 5000
+    assert report.details["ci_high"] - report.details["ci_low"] == pytest.approx(2 * half, rel=1e-12)
+    assert report.statistic == pytest.approx(0.02, abs=1e-12)
     assert report.verdict == inference.INCONCLUSIVE
 
 
